@@ -12,11 +12,18 @@ package a51
 // the existing lane-sliced clock 64 at a time, falling back to the
 // scalar clock only for sub-64 remainders below scalarReplayCutoff.
 //
+// Candidate verification is batched too. A lookup whose fingerprint
+// hits parks on that candidate; at the end of each round every parked
+// candidate is checked against its sample's keystream in 64-lane
+// downlink passes, and each lookup resumes only once its own candidate
+// is settled.
+//
 // Equivalence contract: for every sample, RecoverBatch returns exactly
-// what Recover returns. Only fingerprint computation is batched; the
-// match tests, the shared-tail visited set and the chain visit order
-// run in the same order as the scalar path, so even pathological
-// fingerprint collisions resolve identically.
+// what Recover returns. Fingerprints and candidate checks are computed
+// in batches, but each lookup consumes them in the scalar path's
+// order — chain visit order, shared-tail visited set, one candidate at
+// a time — so even pathological fingerprint collisions resolve
+// identically.
 
 import (
 	"context"
@@ -93,6 +100,7 @@ func fpBatch(keys []uint64, frames []uint32, out []uint64) {
 const (
 	phaseWalk   = iota // stepping toward the next distinguished point
 	phaseReplay        // consuming chain fingerprints in scalar order
+	phaseVerify        // parked on a fingerprint hit at (chainIdx, posIdx)
 	phaseDone          // key recovered, exhausted, or errored
 )
 
@@ -146,6 +154,11 @@ type replayScratch struct {
 	laneFPs    []uint64
 	laneOwner  []int32 // >= 0: walker (lookup index); < 0: cursor index ^owner
 	fpSlab     slab.Slab[uint64]
+	// parked lists the lookups in phaseVerify, in the order they
+	// parked; resumed collects the ones that park again while
+	// verifyParked resumes them.
+	parked  []int32
+	resumed []int32
 	// stamp is the shared-tail visited set for spaces up to
 	// stampMaxKeys: stamp[pos] == a lookup's generation means pos was
 	// replayed for that lookup. Generations make clearing free — the
@@ -187,6 +200,8 @@ func (rs *replayScratch) reset() {
 	clear(rs.cursors)
 	rs.lookups = rs.lookups[:0]
 	rs.cursors = rs.cursors[:0]
+	rs.parked = rs.parked[:0]
+	rs.resumed = rs.resumed[:0]
 	rs.fpSlab.Reset()
 }
 
@@ -268,7 +283,8 @@ func (t *Table) RecoverBatch(ctx context.Context, samples []Sample, space KeySpa
 // round transitions walkers that reached a distinguished point into
 // replay, gathers one fingerprint per active walker and cursor, runs
 // the gathered lanes through fpBatch (scalar below the cutoff), applies
-// the results, and pumps each lookup's scalar-order consumer.
+// the results, pumps each lookup's scalar-order consumer, and settles
+// the candidates the consumers parked on.
 func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
 	dpMask := t.chainLen - 1
 	for {
@@ -317,7 +333,9 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 				}
 				// Zero-chain endpoints resolve right here, as the scalar
 				// walk does when it breaks out of an empty replay loop.
-				t.pumpLookup(lk, rs, samples, space, n, keys, errs)
+				if t.pumpLookup(li, rs, n, errs) {
+					rs.parked = append(rs.parked, int32(li))
+				}
 			} else if lk.checks++; lk.checks > t.maxWalk {
 				errs[lk.sample] = ErrKeyNotFound
 				lk.phase = phaseDone
@@ -346,7 +364,7 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 			rs.laneFrames = append(rs.laneFrames, rs.lookups[cur.lookup].frame)
 			rs.laneOwner = append(rs.laneOwner, int32(^ci))
 		}
-		if len(rs.laneKeys) == 0 {
+		if len(rs.laneKeys) == 0 && len(rs.parked) == 0 {
 			return
 		}
 
@@ -388,23 +406,27 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 			cur.remaining--
 		}
 		for li := range rs.lookups {
-			if rs.lookups[li].phase == phaseReplay {
-				t.pumpLookup(&rs.lookups[li], rs, samples, space, n, keys, errs)
+			if t.pumpLookup(li, rs, n, errs) {
+				rs.parked = append(rs.parked, int32(li))
 			}
 		}
+		t.verifyParked(rs, samples, space, n, keys, errs)
 	}
 }
 
-// pumpLookup advances one lookup's consumer: the exact scalar replay
+// pumpLookup advances lookup li's consumer: the exact scalar replay
 // loop of Recover — chains in stored order, positions in chain order,
-// shared tails skipped through the visited set, candidates verified
-// with the scalar matcher — except that fingerprints are read from the
-// cursors' precomputed buffers instead of the scalar clock. It stops
-// when it runs out of computed fingerprints; the final pump resolves
-// the sample (match, or ErrKeyNotFound after the last chain).
-func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
+// shared tails skipped through the visited set — except that
+// fingerprints are read from the cursors' precomputed buffers instead
+// of the scalar clock, and a fingerprint hit parks the lookup for
+// verifyParked instead of calling the scalar matcher. It stops when it
+// runs out of computed fingerprints or parks (reporting true; the
+// caller queues the lookup for verification); the final pump resolves
+// an exhausted sample with ErrKeyNotFound after the last chain.
+func (t *Table) pumpLookup(li int, rs *replayScratch, n uint64, errs []error) (parked bool) {
+	lk := &rs.lookups[li]
 	if lk.phase != phaseReplay {
-		return
+		return false
 	}
 	for lk.chainIdx < len(lk.chains) {
 		ch := lk.chains[lk.chainIdx]
@@ -423,7 +445,7 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample,
 				break // shared tail: already replayed
 			}
 			if lk.posIdx >= len(cur.fps) {
-				return // cursor has not computed this far yet
+				return false // cursor has not computed this far yet
 			}
 			if lk.gen != 0 {
 				rs.stamp[lk.p] = lk.gen
@@ -432,14 +454,9 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample,
 			}
 			pfp := cur.fps[lk.posIdx]
 			if pfp == lk.fp {
-				if key := space.Key(lk.p); matches(key, lk.frame, samples[lk.sample].Keystream) {
-					keys[lk.sample] = key
-					lk.phase = phaseDone
-					for c := 0; c < len(lk.chains); c++ {
-						rs.cursors[lk.cursorBase+c].remaining = 0
-					}
-					return
-				}
+				// Candidate space.Key(lk.p): wait for the verifier.
+				lk.phase = phaseVerify
+				return true
 			}
 			lk.p = pfp & (n - 1)
 			lk.posIdx++
@@ -452,6 +469,82 @@ func (t *Table) pumpLookup(lk *lookupState, rs *replayScratch, samples []Sample,
 	}
 	errs[lk.sample] = ErrKeyNotFound
 	lk.phase = phaseDone
+	return false
+}
+
+// verifyParked settles every parked candidate: the candidate keys are
+// checked against their samples' keystreams in 64-lane downlink passes
+// (scalar matches for a sub-cutoff remainder, as in the fingerprint
+// gather). A match resolves its lookup and retires its cursors; a
+// miss (a fingerprint collision) moves the lookup's consumer past the
+// candidate and pumps it on, which can park it again on a later hit
+// among the fingerprints already computed — so the passes repeat until
+// no lookup is parked.
+func (t *Table) verifyParked(rs *replayScratch, samples []Sample, space KeySpace, n uint64, keys []uint64, errs []error) {
+	var ks [bsLanes][BurstBytes]byte
+	var laneKeys [bsLanes]uint64
+	var laneFrames [bsLanes]uint32
+	for len(rs.parked) > 0 {
+		rs.resumed = rs.resumed[:0]
+		for base := 0; base < len(rs.parked); base += bsLanes {
+			block := rs.parked[base:min(base+bsLanes, len(rs.parked))]
+			batched := len(block) >= scalarReplayCutoff
+			if batched {
+				for l, li := range block {
+					lk := &rs.lookups[li]
+					laneKeys[l], laneFrames[l] = space.Key(lk.p), lk.frame
+				}
+				downlinkBatch(laneKeys[:len(block)], laneFrames[:len(block)], &ks)
+			}
+			for l, li := range block {
+				lk := &rs.lookups[li]
+				key, keystream := space.Key(lk.p), samples[lk.sample].Keystream
+				var ok bool
+				if batched {
+					ok = prefixMatches(&ks[l], keystream)
+				} else {
+					ok = matches(key, lk.frame, keystream)
+				}
+				if ok {
+					keys[lk.sample] = key
+					lk.phase = phaseDone
+					for c := 0; c < len(lk.chains); c++ {
+						rs.cursors[lk.cursorBase+c].remaining = 0
+					}
+					continue
+				}
+				pfp := rs.cursors[lk.cursorBase+lk.chainIdx].fps[lk.posIdx]
+				lk.p = pfp & (n - 1)
+				lk.posIdx++
+				lk.phase = phaseReplay
+				if t.pumpLookup(int(li), rs, n, errs) {
+					rs.resumed = append(rs.resumed, li)
+				}
+			}
+		}
+		rs.parked, rs.resumed = rs.resumed, rs.parked
+	}
+}
+
+// prefixMatches is matches against a precomputed downlink burst: the
+// first min(len(keystream)*8, BurstBits) bits of down must equal the
+// keystream's.
+func prefixMatches(down *[BurstBytes]byte, keystream []byte) bool {
+	nbits := len(keystream) * 8
+	if nbits > BurstBits {
+		nbits = BurstBits
+	}
+	full := nbits / 8
+	for i := 0; i < full; i++ {
+		if down[i] != keystream[i] {
+			return false
+		}
+	}
+	if rem := nbits % 8; rem != 0 {
+		mask := byte(0xFF) << (8 - rem)
+		return (down[full]^keystream[full])&mask == 0
+	}
+	return true
 }
 
 // scalarFingerprint is the one-key fingerprint the sub-cutoff remainder

@@ -175,3 +175,38 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRecoverBatchCampaignShape is the key-recovery layer row of
+// the campaign: the campaign engine's table (12-bit space, ChainLen 2,
+// every paging frame class) resolving one FeedBatch-sized call of 4096
+// paging-burst samples (14-byte keystreams, real keys). It reports
+// ns/sample, the figure the per-layer a51.recover_ns_per_sample metric
+// tracks.
+func BenchmarkRecoverBatchCampaignShape(b *testing.B) {
+	space := KeySpace{Base: 0xC118000000000000, Bits: 12}
+	frames := PagingFrames()
+	table, err := BuildTable(space, TableConfig{Frames: frames, ChainLen: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, _ := space.Size()
+	rng := rand.New(rand.NewSource(12))
+	samples := make([]Sample, 4096)
+	for i := range samples {
+		frame := frames[rng.Intn(len(frames))]
+		down, _ := New(space.Key(rng.Uint64()%n), frame).KeystreamBurst()
+		samples[i] = Sample{Keystream: down[:14], Frame: frame}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := table.RecoverBatch(ctx, samples, space)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
+}

@@ -153,10 +153,6 @@ type Sniffer struct {
 	// crack. Keyed on (IMSI, RAND) — both visible on the air in real
 	// GSM — and bounded like kcCache.
 	subKc map[subKcKey]uint64
-	// sessFree recycles completed session buffers (the map-per-session
-	// allocation is a real GC cost when a campaign streams millions of
-	// sessions through one rig). Invisible state: Reset keeps it.
-	sessFree []*session
 	// TPDU decode memo: campaign traffic reassembles the same OTP TPDU
 	// for millions of sessions, so record caches the last decode keyed
 	// by the raw bytes. Content-addressed, hence correctness-neutral;
@@ -185,31 +181,114 @@ type subKcKey struct {
 // equally disposable).
 const kcCacheMax = 4096
 
-// session buffers bursts until a transmission is complete.
+// session buffers bursts until a transmission is complete. Bursts are
+// held by pointer and indexed by Seq: inside FeedBatch they point into
+// the caller's trace, Feed stores a copy of each, and a FeedBatch
+// session still incomplete when the call returns is adopted into
+// rig-owned copies.
 type session struct {
-	bursts map[int]telecom.RadioBurst
-	total  int
+	id    uint32
+	total int
+	// n counts the distinct sequence numbers heard; the session is
+	// complete when n reaches total. A repeated Seq replaces the
+	// earlier burst without counting, and a Seq outside [0, total)
+	// still counts.
+	n int
+	// slots[seq] is the latest burst heard for seq in [0, total) (nil =
+	// not heard); its length is slotCount(total).
+	slots []*telecom.RadioBurst
+	// extra holds every other sequence number: outside [0, total), or
+	// at or beyond maxSlotSeq, so a malformed Total cannot make the rig
+	// allocate a slot array of that size.
+	extra []seqBurst
+	// mapped reports that the session is in Sniffer.sessions.
+	mapped bool
+}
+
+// seqBurst is one burst held outside the slot array.
+type seqBurst struct {
+	seq int
+	b   *telecom.RadioBurst
+}
+
+// maxSlotSeq bounds the slot array; real SMS sessions span a handful
+// of bursts.
+const maxSlotSeq = 256
+
+// slotCount is the slot array length of a session of total bursts.
+func slotCount(total int) int { return min(max(total, 0), maxSlotSeq) }
+
+// put files b under its Seq and reports whether it completed the
+// session.
+func (sess *session) put(b *telecom.RadioBurst) bool {
+	if seq := b.Seq; seq >= 0 && seq < len(sess.slots) {
+		if sess.slots[seq] == nil {
+			sess.n++
+		}
+		sess.slots[seq] = b
+		return sess.n == sess.total
+	}
+	for i := range sess.extra {
+		if sess.extra[i].seq == b.Seq {
+			sess.extra[i].b = b
+			return sess.n == sess.total
+		}
+	}
+	sess.extra = append(sess.extra, seqBurst{seq: b.Seq, b: b})
+	sess.n++
+	return sess.n == sess.total
+}
+
+// burst returns the burst heard for seq, or nil.
+func (sess *session) burst(seq int) *telecom.RadioBurst {
+	if seq >= 0 && seq < len(sess.slots) {
+		return sess.slots[seq]
+	}
+	for _, e := range sess.extra {
+		if e.seq == seq {
+			return e.b
+		}
+	}
+	return nil
+}
+
+// adopt returns a copy of sess whose bursts, payloads included, are
+// owned by the rig, so the session outlives the trace it was heard in.
+func (sess *session) adopt() *session {
+	own := make([]telecom.RadioBurst, 0, sess.n)
+	keep := func(b *telecom.RadioBurst) *telecom.RadioBurst {
+		own = append(own, *b)
+		c := &own[len(own)-1]
+		c.Payload = bytes.Clone(b.Payload)
+		return c
+	}
+	h := &session{id: sess.id, total: sess.total, n: sess.n, mapped: true,
+		slots: make([]*telecom.RadioBurst, len(sess.slots))}
+	for seq, b := range sess.slots {
+		if b != nil {
+			h.slots[seq] = keep(b)
+		}
+	}
+	for _, e := range sess.extra {
+		h.extra = append(h.extra, seqBurst{seq: e.seq, b: keep(e.b)})
+	}
+	return h
 }
 
 // appendPayloadBursts appends the session's payload bursts (seq
 // 1..total-1) in order onto dst; ok is false (and dst is returned
 // unchanged) when one was lost — the shared framing walk of the scalar
 // and batched processing paths.
-func (sess *session) appendPayloadBursts(dst []telecom.RadioBurst) ([]telecom.RadioBurst, bool) {
+func (sess *session) appendPayloadBursts(dst []*telecom.RadioBurst) ([]*telecom.RadioBurst, bool) {
 	base := len(dst)
 	for seq := 1; seq < sess.total; seq++ {
-		b, ok := sess.bursts[seq]
-		if !ok {
+		b := sess.burst(seq)
+		if b == nil {
 			return dst[:base], false
 		}
 		dst = append(dst, b)
 	}
 	return dst, true
-}
-
-// payloadBursts is appendPayloadBursts into a fresh slice.
-func (sess *session) payloadBursts() ([]telecom.RadioBurst, bool) {
-	return sess.appendPayloadBursts(make([]telecom.RadioBurst, 0, sess.total-1))
 }
 
 // New builds a sniffer against a network.
@@ -295,15 +374,22 @@ func (s *Sniffer) Feed(b telecom.RadioBurst) {
 
 	if complete {
 		s.processSession(sess)
-		s.recycleSessions(sess)
 	}
 }
 
-// feedScratch is the reusable memory of one FeedBatch call — completed
-// sessions, the crack prefetch queue, decryption lanes, payload copies
+// feedScratch is the reusable memory of one FeedBatch call — session
+// records, the crack prefetch queue, decryption lanes, payload copies
 // and the TPDU assembly buffer — recycled through a sync.Pool so a
 // campaign shard's trace costs no per-session allocation storm.
 type feedScratch struct {
+	// The call's session records, carved in fixed-size blocks so their
+	// addresses stay valid as the call grows, and their slot arrays.
+	sessBlocks [][]session
+	nsess      int
+	slots      slab.Slab[*telecom.RadioBurst]
+	// touched lists the sessions this call put into or took from
+	// Sniffer.sessions; those still there when ingest ends are adopted.
+	touched   []*session
 	completed []*session
 	// Crack prefetch state: crackOf[i] is the sample index queued for
 	// completed[i] (-1 when resolution will not need a fresh crack),
@@ -318,7 +404,7 @@ type feedScratch struct {
 	pendSub  map[subKcKey]int32
 	// Decrypt/record state.
 	pend     []pendingCapture
-	pb       []telecom.RadioBurst
+	pb       []*telecom.RadioBurst
 	payloads [][]byte
 	kcs      []uint64
 	frames   []uint32
@@ -330,7 +416,7 @@ type feedScratch struct {
 // pendingCapture is one resolved session awaiting batched decryption:
 // its payload slices live in feedScratch.payloads[pstart:pstart+pcount].
 type pendingCapture struct {
-	sess           *session
+	paging         *telecom.RadioBurst
 	kc             uint64
 	crackTime      time.Duration
 	pstart, pcount int32
@@ -348,9 +434,36 @@ var feedScratchPool = sync.Pool{New: func() any {
 // aliasing guarantees).
 func (fs *feedScratch) grab(n int) []byte { return fs.slab.Grab(n) }
 
+// sessBlock is the number of session records per scratch block.
+const sessBlock = 1024
+
+// session hands out the call's next session record.
+func (fs *feedScratch) session(id uint32, total int) *session {
+	blk, off := fs.nsess/sessBlock, fs.nsess%sessBlock
+	if blk == len(fs.sessBlocks) {
+		fs.sessBlocks = append(fs.sessBlocks, make([]session, sessBlock))
+	}
+	fs.nsess++
+	sess := &fs.sessBlocks[blk][off]
+	sess.id, sess.total, sess.n, sess.mapped = id, total, 0, false
+	sess.slots = fs.slots.Grab(slotCount(total))
+	clear(sess.slots) // slab carves are recycled memory
+	return sess
+}
+
 // reset drops every reference the scratch accumulated (so the pool
 // retains capacity, not sessions or payloads) and empties it.
 func (fs *feedScratch) reset() {
+	for i := 0; i < fs.nsess; i++ {
+		sess := &fs.sessBlocks[i/sessBlock][i%sessBlock]
+		clear(sess.slots)
+		clear(sess.extra)
+		sess.slots, sess.extra = nil, sess.extra[:0]
+	}
+	fs.nsess = 0
+	fs.slots.Reset()
+	clear(fs.touched)
+	fs.touched = fs.touched[:0]
 	clear(fs.completed)
 	clear(fs.samples)
 	clear(fs.pend)
@@ -384,11 +497,11 @@ func (fs *feedScratch) reset() {
 // burst. Captures, statistics and Kc-cache behavior are identical to
 // feeding the same bursts through Feed in order.
 //
-// The input bursts are only read during the call: payloads the rig
-// keeps are copied, so callers may recycle the trace memory (e.g. a
-// telecom.BurstBuffer) once FeedBatch returns — provided the trace
-// completed every session it started, since bursts of an incomplete
-// session stay buffered by reference until its remainder arrives.
+// The input bursts are only read during the call: sessions refer to
+// them in place while the call runs, and a session still incomplete
+// when it returns keeps rig-owned copies (payloads included), so
+// callers may recycle the trace memory (e.g. a telecom.BurstBuffer)
+// as soon as FeedBatch returns.
 func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	fs := feedScratchPool.Get().(*feedScratch)
 	defer func() {
@@ -397,11 +510,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 	}()
 
 	s.mu.Lock()
-	for _, b := range bursts {
-		if sess, complete := s.ingestLocked(b); complete {
-			fs.completed = append(fs.completed, sess)
-		}
-	}
+	s.ingestBatchLocked(fs, bursts)
 	s.mu.Unlock()
 
 	s.prefetchCracks(fs)
@@ -418,7 +527,8 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 			k := fs.crackOf[ci]
 			pre = &crackResult{kc: fs.keys[k], err: fs.errs[k], took: fs.share}
 		}
-		kc, crackTime, ok := s.resolveSessionPre(sess, pre)
+		paging := sess.burst(0)
+		kc, crackTime, ok := s.resolveSessionPre(paging, pre)
 		if !ok {
 			continue
 		}
@@ -441,7 +551,7 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 			fs.payloads = append(fs.payloads, payload)
 		}
 		fs.pend = append(fs.pend, pendingCapture{
-			sess: sess, kc: kc, crackTime: crackTime,
+			paging: paging, kc: kc, crackTime: crackTime,
 			pstart: pstart, pcount: int32(len(fs.payloads)) - pstart,
 		})
 	}
@@ -453,9 +563,54 @@ func (s *Sniffer) FeedBatch(bursts []telecom.RadioBurst) {
 		for _, payload := range fs.payloads[p.pstart : p.pstart+p.pcount] {
 			fs.tpdu = append(fs.tpdu, payload...)
 		}
-		s.record(p.sess, p.kc, p.crackTime, fs.tpdu)
+		s.record(p.paging, p.kc, p.crackTime, fs.tpdu)
 	}
-	s.recycleSessions(fs.completed...)
+}
+
+// ingestBatchLocked files a trace's bursts into sessions exactly as
+// burst-by-burst ingestLocked would, collecting completed sessions in
+// fs.completed. A session lives in the call's scratch and refers to
+// the trace's bursts in place; it enters s.sessions only when a run of
+// its bursts ends incomplete, so a trace of contiguous sessions costs
+// one map lookup per session. Sessions still incomplete at the end are
+// adopted into rig-owned copies. Requires s.mu held.
+func (s *Sniffer) ingestBatchLocked(fs *feedScratch, bursts []telecom.RadioBurst) {
+	var cur *session
+	park := func() {
+		if cur != nil && !cur.mapped {
+			s.sessions[cur.id] = cur
+			cur.mapped = true
+			fs.touched = append(fs.touched, cur)
+		}
+	}
+	for i := range bursts {
+		b := &bursts[i]
+		s.stats.BurstsSeen++
+		if cur == nil || cur.id != b.SessionID {
+			park()
+			if cur = s.sessions[b.SessionID]; cur != nil {
+				fs.touched = append(fs.touched, cur)
+			} else {
+				cur = fs.session(b.SessionID, b.Total)
+			}
+		}
+		if cur.put(b) {
+			if cur.mapped {
+				delete(s.sessions, cur.id)
+				cur.mapped = false
+			}
+			s.stats.SessionsComplete++
+			fs.completed = append(fs.completed, cur)
+			cur = nil
+		}
+	}
+	park()
+	for _, sess := range fs.touched {
+		if sess.mapped {
+			s.sessions[sess.id] = sess.adopt()
+			sess.mapped = false
+		}
+	}
 }
 
 // prefetchCracks is the batched half of key recovery: one pass over
@@ -483,8 +638,8 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	crackObs := s.crackObs
 	for _, sess := range fs.completed {
 		fs.crackOf = append(fs.crackOf, -1)
-		paging, ok := sess.bursts[0]
-		if !ok || paging.Cipher == telecom.CipherA53 || !paging.Encrypted {
+		paging := sess.burst(0)
+		if paging == nil || paging.Cipher == telecom.CipherA53 || !paging.Encrypted {
 			continue
 		}
 		if _, hit := s.kcCache[paging.SessionID]; hit {
@@ -533,37 +688,19 @@ func (s *Sniffer) prefetchCracks(fs *feedScratch) {
 	fs.share = time.Since(start) / time.Duration(len(fs.samples))
 }
 
-// recycleSessions clears completed session buffers and returns them to
-// the freelist. Callers must be completely done with the sessions:
-// they are out of s.sessions already (ingestLocked removed them on
-// completion), so the freelist is the only remaining reference.
-func (s *Sniffer) recycleSessions(sessions ...*session) {
-	for _, sess := range sessions {
-		clear(sess.bursts)
-	}
-	s.mu.Lock()
-	s.sessFree = append(s.sessFree, sessions...)
-	s.mu.Unlock()
-}
-
 // ingestLocked buffers one burst, returning the session and whether
 // this burst completed it. Requires s.mu held.
 func (s *Sniffer) ingestLocked(b telecom.RadioBurst) (*session, bool) {
 	s.stats.BurstsSeen++
 	sess, ok := s.sessions[b.SessionID]
 	if !ok {
-		if n := len(s.sessFree); n > 0 {
-			sess = s.sessFree[n-1]
-			s.sessFree = s.sessFree[:n-1]
-			sess.total = b.Total
-		} else {
-			sess = &session{bursts: make(map[int]telecom.RadioBurst), total: b.Total}
-		}
+		sess = &session{id: b.SessionID, total: b.Total, mapped: true,
+			slots: make([]*telecom.RadioBurst, slotCount(b.Total))}
 		s.sessions[b.SessionID] = sess
 	}
-	sess.bursts[b.Seq] = b
-	if len(sess.bursts) == sess.total {
+	if sess.put(&b) {
 		delete(s.sessions, b.SessionID)
+		sess.mapped = false
 		s.stats.SessionsComplete++
 		return sess, true
 	}
@@ -574,11 +711,12 @@ func (s *Sniffer) ingestLocked(b telecom.RadioBurst) (*session, bool) {
 // transmission — the scalar per-session path live traffic goes
 // through.
 func (s *Sniffer) processSession(sess *session) {
-	kc, crackTime, ok := s.resolveSession(sess)
+	paging := sess.burst(0)
+	kc, crackTime, ok := s.resolveSession(paging)
 	if !ok {
 		return
 	}
-	pb, ok := sess.payloadBursts()
+	pb, ok := sess.appendPayloadBursts(make([]*telecom.RadioBurst, 0, sess.total-1))
 	if !ok {
 		return // lost a payload burst
 	}
@@ -590,7 +728,7 @@ func (s *Sniffer) processSession(sess *session) {
 		}
 		tpdu = append(tpdu, payload...)
 	}
-	s.record(sess, kc, crackTime, tpdu)
+	s.record(paging, kc, crackTime, tpdu)
 }
 
 // crackResult carries a batch-prefetched key recovery into
@@ -603,12 +741,12 @@ type crackResult struct {
 }
 
 // resolveSession produces the session key for one complete
-// transmission — replay cache, per-subscriber (IMSI, RAND) cache, or a
-// fresh crack through the backend — updating the crack statistics. ok
-// is false when the session is unusable: paging burst lost, A5/3
-// announced, or recovery failed.
-func (s *Sniffer) resolveSession(sess *session) (kc uint64, crackTime time.Duration, ok bool) {
-	return s.resolveSessionPre(sess, nil)
+// transmission from its paging burst — replay cache, per-subscriber
+// (IMSI, RAND) cache, or a fresh crack through the backend — updating
+// the crack statistics. ok is false when the session is unusable:
+// paging burst lost (nil), A5/3 announced, or recovery failed.
+func (s *Sniffer) resolveSession(paging *telecom.RadioBurst) (kc uint64, crackTime time.Duration, ok bool) {
+	return s.resolveSessionPre(paging, nil)
 }
 
 // resolveSessionPre is resolveSession with an optional prefetched
@@ -618,9 +756,8 @@ func (s *Sniffer) resolveSession(sess *session) (kc uint64, crackTime time.Durat
 // the backend); everything else — cache consultation order, statistic
 // increments, cache fills and eviction — is the scalar path, executed
 // in the caller's session order.
-func (s *Sniffer) resolveSessionPre(sess *session, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
-	paging, ok := sess.bursts[0]
-	if !ok {
+func (s *Sniffer) resolveSessionPre(paging *telecom.RadioBurst, pre *crackResult) (kc uint64, crackTime time.Duration, ok bool) {
+	if paging == nil {
 		return 0, 0, false // lost the paging burst: no known plaintext, no crack
 	}
 	if paging.Cipher == telecom.CipherA53 {
@@ -712,11 +849,10 @@ func (s *Sniffer) resolveSessionPre(sess *session, pre *crackResult) (kc uint64,
 	return kc, crackTime, true
 }
 
-// record decodes a session's reassembled TPDU and files the capture.
-// tpdu is only read during the call (the memo copies it), so callers
-// may pass a recycled assembly buffer.
-func (s *Sniffer) record(sess *session, kc uint64, crackTime time.Duration, tpdu []byte) {
-	paging := sess.bursts[0]
+// record decodes a session's reassembled TPDU and files the capture
+// under the session's paging burst. tpdu is only read during the call
+// (the memo copies it), so callers may pass a recycled assembly buffer.
+func (s *Sniffer) record(paging *telecom.RadioBurst, kc uint64, crackTime time.Duration, tpdu []byte) {
 	s.mu.Lock()
 	hit := s.haveTPDU && bytes.Equal(tpdu, s.lastTPDU)
 	msg, err := s.lastMsg, s.lastErr

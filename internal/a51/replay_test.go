@@ -24,19 +24,31 @@ func replayTable(t *testing.T, space KeySpace, frames []uint32, chainLen int) *T
 // covered and uncovered frames, full-burst and fingerprint-width
 // samples and unrecoverable keystreams, RecoverBatch must return
 // exactly what Recover returns, sample for sample.
+//
+// Two cases aim at the batched candidate verifier. fp-collision-tail
+// samples are real keys' full-burst keystreams with one bit flipped in
+// bits [40, 114): the 40-bit fingerprint still hits the key's chain
+// position, so the verifier must reject the candidate and the replay
+// must carry on exactly as the scalar matcher would. verify-overflow
+// makes every index a distinguished point, so all of a large batch's
+// lookups park on their candidates in the same round — several 64-lane
+// verification passes at once.
 func TestRecoverBatchMatchesScalar(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		bits     int
 		chainLen int
 		batch    int
+		kind     string // "" = the mixed sample classes below
 	}{
-		{"dp-everywhere/sub-cutoff", 8, 1, 3},
-		{"merge-heavy", 8, 16, 40},
-		{"campaign-shape/one-block", 10, 2, 64},
-		{"remainder-lane", 10, 4, 65},
-		{"multi-block", 12, 2, 200},
-		{"sub-cutoff", 12, 8, 7},
+		{"dp-everywhere/sub-cutoff", 8, 1, 3, ""},
+		{"merge-heavy", 8, 16, 40, ""},
+		{"campaign-shape/one-block", 10, 2, 64, ""},
+		{"remainder-lane", 10, 4, 65, ""},
+		{"multi-block", 12, 2, 200, ""},
+		{"sub-cutoff", 12, 8, 7, ""},
+		{"fp-collision-tail", 10, 2, 150, "collision"},
+		{"verify-overflow", 10, 1, 300, "recoverable"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			space := KeySpace{Base: 0xC118000000000000, Bits: tc.bits}
@@ -48,6 +60,16 @@ func TestRecoverBatchMatchesScalar(t *testing.T) {
 			samples := make([]Sample, tc.batch)
 			for i := range samples {
 				frame := frames[rng.Intn(len(frames))]
+				if tc.kind != "" {
+					down, _ := New(space.Key(rng.Uint64()%n), frame).KeystreamBurst()
+					ks := down[:BurstBytes]
+					if tc.kind == "collision" && i%3 != 0 {
+						bit := 40 + rng.Intn(BurstBits-40)
+						ks[bit/8] ^= 0x80 >> (bit % 8)
+					}
+					samples[i] = Sample{Keystream: ks, Frame: frame}
+					continue
+				}
 				switch i % 5 {
 				case 0, 1, 2: // recoverable: a real key's keystream
 					key := space.Key(rng.Uint64() % n)
@@ -68,7 +90,7 @@ func TestRecoverBatchMatchesScalar(t *testing.T) {
 				}
 			}
 			// One unusably short sample rides along.
-			if len(samples) > 2 {
+			if len(samples) > 2 && tc.kind == "" {
 				samples[2] = Sample{Keystream: []byte{1, 2}, Frame: frames[0]}
 			}
 

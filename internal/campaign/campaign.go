@@ -19,9 +19,10 @@
 //     per-shard passive sniffer rig — batched sniffer sessions;
 //   - all rigs share ONE A5/1 cracker backend, so a single precomputed
 //     TMTO table is amortized across the entire population AND across
-//     every scenario of a sweep; rigs themselves are pooled by
-//     radio-environment signature and reused between shards and between
-//     scenarios — including concurrent scenarios mixing environments;
+//     every scenario of a sweep; rigs themselves sit in one pool,
+//     bounded by the worker budget, and are reused between shards and
+//     between scenarios — including concurrent scenarios mixing radio
+//     environments;
 //   - harvested leak records live in one sharded socialdb hit by every
 //     worker concurrently;
 //   - per-victim chain reactions are evaluated against a precompiled
@@ -171,15 +172,14 @@ type Engine struct {
 	planMu sync.Mutex
 	plans  map[planKey]*attackPlan
 
-	// The rig pool: free sniffer rigs reusable by any worker, keyed by
-	// radio-environment signature (a rig is re-tuned state; only an
-	// identical environment can reuse it). Keying — rather than the old
-	// single last-signature pool — keeps rigs warm when concurrent or
-	// alternating scenarios mix environments instead of thrashing the
-	// whole pool on every switch. rigsBuilt counts constructions so
-	// tests can pin reuse.
+	// The rig pool: free sniffer rigs reusable by any worker of any
+	// run. Rigs are never tuned, Reset clears all their per-run state
+	// and every rig shares the engine's cracker, so one list serves
+	// every radio environment; a rig is checked out per shard, so
+	// shardSem bounds the pool by Workers. rigsBuilt counts
+	// constructions so tests can pin reuse.
 	rigMu     sync.Mutex
-	rigFree   map[string][]*sniffer.Sniffer
+	rigFree   []*sniffer.Sniffer
 	rigsBuilt atomic.Int64
 
 	// shardSem is the engine-wide shard-worker budget: every worker of
@@ -223,7 +223,6 @@ func New(cfg Config) (*Engine, error) {
 		leaks:    socialdb.New(),
 		harvest:  make([]sync.Once, cfg.Population.NumShards()),
 		plans:    make(map[planKey]*attackPlan),
-		rigFree:  make(map[string][]*sniffer.Sniffer),
 		shardSem: make(chan struct{}, cfg.Workers),
 	}
 	var err error
@@ -310,18 +309,15 @@ func (e *Engine) plan(sc Scenario) (*attackPlan, error) {
 	return p, nil
 }
 
-// rig hands out a pooled sniffer rig for the given radio signature,
-// building one when that environment's pool is dry (a new radio
-// environment means re-tuned receivers, so rigs are only reusable
-// under the signature that built them). Rigs only ever serve one
-// worker at a time; crackObs, when non-nil, receives the rig's
-// batched-crack durations for the duration of the checkout.
-func (e *Engine) rig(net *telecom.Network, sig string, crackObs *obs.Histogram) *sniffer.Sniffer {
+// rig hands out a pooled sniffer rig, building one when the pool is
+// dry. Rigs only ever serve one worker at a time; crackObs, when
+// non-nil, receives the rig's batched-crack durations for the duration
+// of the checkout.
+func (e *Engine) rig(net *telecom.Network, crackObs *obs.Histogram) *sniffer.Sniffer {
 	e.rigMu.Lock()
-	free := e.rigFree[sig]
-	if n := len(free); n > 0 {
-		r := free[n-1]
-		e.rigFree[sig] = free[:n-1]
+	if n := len(e.rigFree); n > 0 {
+		r := e.rigFree[n-1]
+		e.rigFree = e.rigFree[:n-1]
 		e.rigMu.Unlock()
 		metRigsReused.Inc()
 		r.SetCrackObserver(crackObs)
@@ -336,13 +332,12 @@ func (e *Engine) rig(net *telecom.Network, sig string, crackObs *obs.Histogram) 
 }
 
 // releaseRig resets a rig, detaches the run-local crack observer, and
-// returns it to its signature's pool for the next worker of any run
-// sharing that radio environment.
-func (e *Engine) releaseRig(r *sniffer.Sniffer, sig string) {
+// returns it to the pool for the next worker of any run.
+func (e *Engine) releaseRig(r *sniffer.Sniffer) {
 	r.Reset()
 	r.SetCrackObserver(nil)
 	e.rigMu.Lock()
-	e.rigFree[sig] = append(e.rigFree[sig], r)
+	e.rigFree = append(e.rigFree, r)
 	e.rigMu.Unlock()
 }
 
@@ -459,7 +454,6 @@ type runtimeScenario struct {
 	channels   uint64
 	sessions   int
 	reauthSkip float64
-	sig        string
 	// domainMask is nil for "everyone", else the catalog services of
 	// the segment's domain as a bitset matching Subscriber.Enrolled.
 	domainMask population.ServiceSet
@@ -474,7 +468,6 @@ func (e *Engine) newRuntime(sc Scenario) (*runtimeScenario, error) {
 		channels:   uint64(sc.Budget.CellChannels),
 		sessions:   sc.Radio.OTPSessions,
 		reauthSkip: sc.Radio.ReauthSkip,
-		sig:        sc.Radio.sig(),
 	}
 	if sc.Segment.Domain != "" {
 		dom, err := domainByName(sc.Segment.Domain)
@@ -814,8 +807,8 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	// resets before this worker's next shard reuses the arena.
 	scr.strs.Reset()
 
-	rig := e.rig(net, rt.sig, r.phases.crack())
-	defer e.releaseRig(rig, rt.sig)
+	rig := e.rig(net, r.phases.crack())
+	defer e.releaseRig(rig)
 	synthStart := time.Now()
 	seed := uint64(e.cfg.Population.Seed())
 	sessions := rt.sessions

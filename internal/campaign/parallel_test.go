@@ -319,3 +319,56 @@ func TestScenarioProgress(t *testing.T) {
 		t.Errorf("sweep Duration = %v", sw.Duration)
 	}
 }
+
+// TestRigPoolBoundedAcrossRadioEnvs is the regression test for the
+// rig-pool leak: the pool used to keep up to Workers rigs for every
+// distinct radio environment it had seen, so each new float tuple a
+// campaignd client sent pinned more rigs. Sixteen distinct
+// environments, four in flight at a time on one engine, must build no
+// more rigs than there are workers — and every scenario's Summary must
+// still equal a fresh engine's.
+func TestRigPoolBoundedAcrossRadioEnvs(t *testing.T) {
+	const workers = 2
+	pop := testPop(t, 2048, 256)
+	cfg := Config{Population: pop, KeyBits: 10, Workers: workers, SweepParallel: 4}
+	cfg.Cracker = sharedCracker(t, cfg)
+	scenarios := make([]Scenario, 16)
+	for i := range scenarios {
+		scenarios[i] = Scenario{
+			Name: fmt.Sprintf("env-%d", i),
+			Radio: RadioEnv{
+				A50Fraction: 0.05 * float64(i%4+1),
+				A53Fraction: 0.1 * float64(i/4),
+				ReauthSkip:  0.2 + 0.05*float64(i),
+				OTPSessions: 1 + i%3,
+			},
+		}
+	}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := eng.RunSweep(context.Background(), scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built := eng.RigsBuilt(); built > workers {
+		t.Errorf("rigs built = %d over 16 radio environments, want <= %d (Workers)", built, workers)
+	}
+	for i, res := range sw.Results {
+		if res.Summary == nil {
+			t.Fatalf("%s: %s", res.Scenario.Name, res.Error)
+		}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.RunScenario(context.Background(), scenarios[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := summaryDigest(t, res.Summary), summaryDigest(t, want); got != want {
+			t.Errorf("%s: pooled-engine summary digest %s, fresh engine %s", res.Scenario.Name, got, want)
+		}
+	}
+}

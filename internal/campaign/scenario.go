@@ -67,14 +67,6 @@ func (r RadioEnv) cellMix() telecom.CellMix {
 	return telecom.CellMix{A50: r.A50Fraction, A53: r.A53Fraction}
 }
 
-// sig is the rig-reuse key: scenarios with equal radio signatures run
-// against identical receiver configurations, so per-shard sniffer rigs
-// carry over between them without a rebuild.
-func (r RadioEnv) sig() string {
-	return fmt.Sprintf("a50=%g|a53=%g|reauth=%g|sessions=%d",
-		r.A50Fraction, r.A53Fraction, r.ReauthSkip, r.OTPSessions)
-}
-
 // AttackerBudget sizes the interception fleet. The paper's rig was 16
 // single-frequency receivers (Motorola C118s): each receiver camps on
 // one ARFCN, so the probability a victim's serving channel is covered

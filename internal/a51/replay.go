@@ -305,9 +305,9 @@ func (t *Table) runReplayRounds(ctx context.Context, rs *replayScratch, samples 
 			}
 			if lk.y&dpMask == 0 {
 				metWalkSteps.Observe(float64(lk.checks))
-				metReplays.Add(int64(len(lk.ft.chains[lk.y])))
 				lk.phase = phaseReplay
 				lk.chains = lk.ft.chains[lk.y]
+				metReplays.Add(int64(len(lk.chains)))
 				lk.cursorBase = len(rs.cursors)
 				lk.gen, lk.visited = 0, nil
 				if len(lk.chains) > 1 {
@@ -473,10 +473,9 @@ func (t *Table) pumpLookup(li int, rs *replayScratch, n uint64, errs []error) (p
 }
 
 // verifyParked settles every parked candidate: the candidate keys are
-// checked against their samples' keystreams in 64-lane downlink passes
-// (scalar matches for a sub-cutoff remainder, as in the fingerprint
-// gather). A match resolves its lookup and retires its cursors; a
-// miss (a fingerprint collision) moves the lookup's consumer past the
+// checked against their samples' keystreams in 64-lane downlink
+// passes. A match resolves its lookup and retires its cursors; a miss
+// (a fingerprint collision) moves the lookup's consumer past the
 // candidate and pumps it on, which can park it again on a later hit
 // among the fingerprints already computed — so the passes repeat until
 // no lookup is parked.
@@ -488,25 +487,15 @@ func (t *Table) verifyParked(rs *replayScratch, samples []Sample, space KeySpace
 		rs.resumed = rs.resumed[:0]
 		for base := 0; base < len(rs.parked); base += bsLanes {
 			block := rs.parked[base:min(base+bsLanes, len(rs.parked))]
-			batched := len(block) >= scalarReplayCutoff
-			if batched {
-				for l, li := range block {
-					lk := &rs.lookups[li]
-					laneKeys[l], laneFrames[l] = space.Key(lk.p), lk.frame
-				}
-				downlinkBatch(laneKeys[:len(block)], laneFrames[:len(block)], &ks)
-			}
 			for l, li := range block {
 				lk := &rs.lookups[li]
-				key, keystream := space.Key(lk.p), samples[lk.sample].Keystream
-				var ok bool
-				if batched {
-					ok = prefixMatches(&ks[l], keystream)
-				} else {
-					ok = matches(key, lk.frame, keystream)
-				}
-				if ok {
-					keys[lk.sample] = key
+				laneKeys[l], laneFrames[l] = space.Key(lk.p), lk.frame
+			}
+			downlinkBatch(laneKeys[:len(block)], laneFrames[:len(block)], &ks)
+			for l, li := range block {
+				lk := &rs.lookups[li]
+				if prefixMatches(&ks[l], samples[lk.sample].Keystream) {
+					keys[lk.sample] = laneKeys[l]
 					lk.phase = phaseDone
 					for c := 0; c < len(lk.chains); c++ {
 						rs.cursors[lk.cursorBase+c].remaining = 0

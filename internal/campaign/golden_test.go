@@ -28,6 +28,22 @@ const goldenFile = "testdata/golden_summaries.txt"
 // and a domain-restricted victim segment.
 var goldenScenarios = []string{"baseline", "fortified", "a53-mix", "budget-4of16", "fintech-leaked"}
 
+// goldenLiterals adds the leak-tier cohorts and radio mixes no builtin
+// scenario reaches: the breach and phishing-WiFi tiers (the only
+// segments that read a subscriber's leak class), two OTP sessions per
+// victim under a mixed A5/0-A5/3 cell population, and an all-A5/1
+// environment that re-authenticates every session under a half-covered
+// channel plan.
+var goldenLiterals = []Scenario{
+	{Name: "leak-breach", Segment: VictimSegment{LeakTier: LeakTierBreach}},
+	{Name: "wifi-a53-2otp",
+		Radio:   RadioEnv{A50Fraction: 0.3, A53Fraction: 0.3, OTPSessions: 2},
+		Segment: VictimSegment{LeakTier: LeakTierWiFi}},
+	{Name: "a51-reauth-8of16",
+		Radio:  RadioEnv{A50Fraction: -1, ReauthSkip: -1},
+		Budget: AttackerBudget{Receivers: 8, CellChannels: 16}},
+}
+
 // summaryDigest is the hex SHA-256 of sum's JSON rendering with the
 // wall-clock fields zeroed.
 func summaryDigest(t *testing.T, sum *Summary) string {
@@ -82,16 +98,20 @@ func TestGoldenSummaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		scenarios := make([]Scenario, 0, len(goldenScenarios)+len(goldenLiterals))
 		for _, name := range goldenScenarios {
 			sc, ok := BuiltinScenario(name)
 			if !ok {
 				t.Fatalf("scenario %q missing from the builtin shelf", name)
 			}
+			scenarios = append(scenarios, sc)
+		}
+		for _, sc := range append(scenarios, goldenLiterals...) {
 			sum, err := eng.RunScenario(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := backend + "/" + name
+			key := backend + "/" + sc.Name
 			got := summaryDigest(t, sum)
 			if want[key] != got {
 				t.Errorf("%s: summary digest %s, golden %q\n  new line: %s %s", key, got, want[key], key, got)

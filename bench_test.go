@@ -370,19 +370,14 @@ func BenchmarkE15Scaling(b *testing.B) {
 // The 1M size runs only with -benchtime long enough (or -bench
 // explicitly); it processes a million subscribers per iteration.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	run := func(b *testing.B, size int, backend string, scalarRadio, scalarReplay, materialized bool) {
-		pop, err := population.New(population.Config{
-			Seed: 42, Size: size, MaterializedPersonas: materialized,
-		})
+	run := func(b *testing.B, size int, backend string) {
+		pop, err := population.New(population.Config{Seed: 42, Size: size})
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Engine construction (TDG compilation, one-off table build)
 		// is excluded: the real attack downloads the tables once.
-		eng, err := campaign.New(campaign.Config{
-			Population: pop, Backend: backend, KeyBits: 12,
-			ScalarRadio: scalarRadio, ScalarReplay: scalarReplay,
-		})
+		eng, err := campaign.New(campaign.Config{Population: pop, Backend: backend, KeyBits: 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,30 +397,13 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	// Shared-table vs per-victim exhaustive search, same population.
 	for _, backend := range []string{"table", "exhaustive"} {
 		b.Run(fmt.Sprintf("subscribers=10000/backend=%s", backend), func(b *testing.B) {
-			run(b, 10_000, backend, false, false, false)
+			run(b, 10_000, backend)
 		})
 	}
-	// Radio-path ablation: the per-session scalar A5/1 encoder the
-	// 64-lane bitsliced batch path replaced (byte-identical output).
-	b.Run("subscribers=10000/backend=table/radio=scalar", func(b *testing.B) {
-		run(b, 10_000, "table", true, false, false)
-	})
-	// Replay-path ablation: the per-session scalar chain replay the
-	// 64-lane batched table lookup (a51.RecoverBatch) replaced
-	// (byte-identical Summary).
-	b.Run("subscribers=10000/backend=table/replay=scalar", func(b *testing.B) {
-		run(b, 10_000, "table", false, true, false)
-	})
-	// Persona-path ablation: eagerly materialized personas and leak
-	// records — the allocation profile the lazy seed+index derivation
-	// replaced (byte-identical Summary).
-	b.Run("subscribers=10000/backend=table/personas=materialized", func(b *testing.B) {
-		run(b, 10_000, "table", false, false, true)
-	})
 	// Scale sweep on the shared-table backend.
 	for _, size := range []int{100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("subscribers=%d/backend=table", size), func(b *testing.B) {
-			run(b, size, "table", false, false, false)
+			run(b, size, "table")
 		})
 	}
 }

@@ -63,7 +63,6 @@ func main() {
 		backend     = flag.String("backend", "table", "shared A5/1 cracker backend (table, bitsliced, parallel, exhaustive)")
 		keyBits     = flag.Int("keybits", 12, "A5/1 session-key space bits")
 		leak        = flag.Float64("leak", population.DefaultLeakFraction, "fraction of subscribers in leak databases")
-		materialize = flag.Bool("materialized-personas", false, "eagerly materialize every persona and leak record (ablation; default derives attributes lazily from the seed)")
 		top         = flag.Int("top", 15, "services shown in the takeover ranking")
 		quiet       = flag.Bool("quiet", false, "suppress progress output")
 		jsonOut     = flag.Bool("json", false, "emit the summary as JSON instead of tables")
@@ -141,8 +140,7 @@ func main() {
 	err = run(runCfg{
 		subscribers: *subscribers, shardSize: *shardSize, workers: *workers,
 		seed: *seed, backend: *backend, keyBits: *keyBits, leak: *leak,
-		materialize: *materialize,
-		top:         *top, quiet: *quiet, jsonOut: *jsonOut,
+		top: *top, quiet: *quiet, jsonOut: *jsonOut,
 		scenario: campaign.Scenario{
 			Name:     "cli",
 			Policy:   *policy,
@@ -184,7 +182,6 @@ type runCfg struct {
 	seed                                          int64
 	backend                                       string
 	leak                                          float64
-	materialize                                   bool
 	quiet, jsonOut                                bool
 	scenario                                      campaign.Scenario
 	sweep                                         bool
@@ -362,49 +359,41 @@ func run(c runCfg) error {
 	if c.metricsAddr != "" {
 		obs.Default.PublishExpvar("actfort")
 		obs.Default.StartRuntimePoller(ctx, 0)
-		addr, stopSrv, err := obs.Default.StartServer(ctx, c.metricsAddr)
+		srv, err := obs.Default.Serve(ctx, c.metricsAddr, nil)
 		if err != nil {
 			return err
 		}
-		defer stopSrv()
+		defer srv.Close()
 		if !c.quiet {
-			fmt.Fprintf(os.Stderr, "campaign: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", addr)
+			fmt.Fprintf(os.Stderr, "campaign: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
 		}
 	}
 	if c.liveTicker {
 		startTicker(ctx)
 	}
 	pop, err := population.New(population.Config{
-		Seed:                 c.seed,
-		Size:                 c.subscribers,
-		ShardSize:            c.shardSize,
-		LeakFraction:         c.leak,
-		MaterializedPersonas: c.materialize,
+		Seed:         c.seed,
+		Size:         c.subscribers,
+		ShardSize:    c.shardSize,
+		LeakFraction: c.leak,
 	})
 	if err != nil {
 		return err
 	}
 
-	// Progress lines: single runs report bare percentages; sweeps use
-	// the scenario-aware hook so interleaved lines from overlapping
-	// scenarios (-sweep-parallel) stay attributable. The per-scenario
-	// threshold state sits behind a mutex because parallel scenarios
-	// report concurrently.
-	progress := func(done, total int) {}
-	scenarioProgress := func(string, int, int) {}
-	if !c.quiet && !c.sweep {
-		lastPct := -1
-		progress = func(done, total int) {
-			pct := done * 100 / total
-			if pct/5 > lastPct/5 || done == total {
-				lastPct = pct
-				fmt.Fprintf(os.Stderr, "campaign: %d/%d subscribers (%d%%)\n", done, total, pct)
-			}
-		}
-	}
-	if !c.quiet && c.sweep {
+	// Progress lines: single runs report bare percentages every 5%;
+	// sweeps name the scenario, every 20%, so interleaved lines from
+	// overlapping scenarios (-sweep-parallel) stay attributable. The
+	// per-scenario threshold state sits behind a mutex because parallel
+	// scenarios report concurrently.
+	var scenarioProgress func(string, int, int)
+	if !c.quiet {
 		var mu sync.Mutex
 		lastPct := map[string]int{}
+		step := 5
+		if c.sweep {
+			step = 20
+		}
 		scenarioProgress = func(scenario string, done, total int) {
 			pct := done * 100 / total
 			mu.Lock()
@@ -413,9 +402,13 @@ func run(c runCfg) error {
 			if !ok {
 				last = -1
 			}
-			if pct/20 > last/20 || done == total {
+			if pct/step > last/step || done == total {
 				lastPct[scenario] = pct
-				fmt.Fprintf(os.Stderr, "campaign: [%s] %d/%d subscribers (%d%%)\n", scenario, done, total, pct)
+				if c.sweep {
+					fmt.Fprintf(os.Stderr, "campaign: [%s] %d/%d subscribers (%d%%)\n", scenario, done, total, pct)
+				} else {
+					fmt.Fprintf(os.Stderr, "campaign: %d/%d subscribers (%d%%)\n", done, total, pct)
+				}
 			}
 		}
 	}
@@ -429,7 +422,6 @@ func run(c runCfg) error {
 		Workers:          c.workers,
 		Backend:          c.backend,
 		KeyBits:          c.keyBits,
-		Progress:         progress,
 		ScenarioProgress: scenarioProgress,
 		SweepParallel:    c.sweepParallel,
 		MaxShardAttempts: c.shardAttempts,

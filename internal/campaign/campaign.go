@@ -32,12 +32,12 @@
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
-// Batch ≡ scalar invariant: for a fixed seed the campaign Summary is
-// byte-identical whichever engine variant runs — the 64-lane batch
-// radio synthesis vs. per-session scalar encoding (Config.ScalarRadio)
-// and the 64-lane batched TMTO chain replay vs. per-session scalar
-// lookups (Config.ScalarReplay). The batch paths change cost, never
-// results; fixed-seed Summary-equality tests enforce it.
+// Fixed-seed invariant: for a fixed seed the campaign Summary is
+// byte-identical run to run, whatever the worker count, sweep overlap
+// or checkpoint boundaries. Committed golden digests pin it; the
+// 64-lane batch radio synthesis and batched TMTO chain replay are held
+// against their scalar reference oracles in the telecom, sniffer and
+// a51 packages.
 package campaign
 
 import (
@@ -79,32 +79,15 @@ type Config struct {
 	// KeyBits is the A5/1 session-key space (0 = 12, as the case-study
 	// scenarios use).
 	KeyBits int
-	// ScalarRadio forces per-session scalar A5/1 encryption for campaign
-	// radio synthesis instead of the 64-lane bitsliced batch encryptor —
-	// the pre-batch path, kept for batch≡scalar equivalence tests and
-	// ablation benchmarks.
-	ScalarRadio bool
-	// ScalarReplay forces the rigs to resolve session keys one at a
-	// time through the backend's scalar chain replay (Cracker.Recover)
-	// instead of gathering every crack of a shard's trace into one
-	// 64-lane bitsliced a51.BatchCracker.RecoverBatch call — the
-	// pre-batch lookup path, kept for batch≡scalar equivalence tests
-	// and ablation benchmarks, like ScalarRadio.
-	ScalarReplay bool
 	// Scenario is the default scenario Run executes; the zero value is
 	// the paper's baseline environment (no policy, measured radio mix,
 	// full-coverage 16-receiver fleet, whole population).
 	Scenario Scenario
-	// Progress, when non-nil, receives (subscribersDone, total) after
-	// every merged shard of the scenario currently running. Under a
-	// parallel sweep the callbacks of overlapping scenarios interleave;
-	// ScenarioProgress carries the scenario identity.
-	Progress func(done, total int)
 	// ScenarioProgress, when non-nil, receives (scenario, done, total)
-	// after every merged shard — the scenario-aware form of Progress,
-	// unambiguous when SweepParallel overlaps runs. Both callbacks fire
-	// when both are set. Callbacks of concurrent scenarios may arrive
-	// concurrently; the callee synchronizes.
+	// after every merged shard (and once up front for shards a resumed
+	// run skips), so overlapping SweepParallel runs stay distinguishable.
+	// Callbacks of concurrent scenarios may arrive concurrently; the
+	// callee synchronizes.
 	ScenarioProgress func(scenario string, done, total int)
 	// SweepParallel bounds how many sweep scenarios RunSweep keeps in
 	// flight at once (0 or 1 = sequential, the default). However many
@@ -326,7 +309,7 @@ func (e *Engine) rig(net *telecom.Network, crackObs *obs.Histogram) *sniffer.Sni
 	e.rigMu.Unlock()
 	e.rigsBuilt.Add(1)
 	metRigsBuilt.Inc()
-	r := sniffer.New(net, sniffer.Config{Cracker: e.cracker, ScalarReplay: e.cfg.ScalarReplay})
+	r := sniffer.New(net, sniffer.Config{Cracker: e.cracker})
 	r.SetCrackObserver(crackObs)
 	return r
 }
@@ -600,12 +583,8 @@ func (r *run) attack(ctx context.Context) (*Summary, error) {
 			sum.Subscribers, sum.SubscribersSkipped, sum.Subscribers-subs0)
 	}()
 	progress := func() {
-		done := int(sum.Subscribers + sum.SubscribersSkipped)
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(done, pop.Size())
-		}
 		if e.cfg.ScenarioProgress != nil {
-			e.cfg.ScenarioProgress(r.norm.Name, done, pop.Size())
+			e.cfg.ScenarioProgress(r.norm.Name, int(sum.Subscribers+sum.SubscribersSkipped), pop.Size())
 		}
 	}
 	if sum.Subscribers+sum.SubscribersSkipped > 0 {
@@ -768,7 +747,6 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	pop := e.cfg.Population
 	part := newSummary(len(pop.Services()))
 	part.Subscribers = int64(len(sh.Subscribers))
-	lazy := !pop.Materialized()
 	if n := len(sh.Subscribers); n > 0 {
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / n))
 	}
@@ -780,21 +758,16 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	// lookups hit the same sharded store concurrently. The leak DB is a
 	// population fact, not a scenario artifact, so each shard harvests
 	// exactly once per engine and later sweep scenarios skip the
-	// rewrite. On the lazy path the records don't exist yet: they are
-	// rebuilt from the draw streams into the worker's pooled record
-	// buffer, their strings carved from the worker's durable arena
-	// (never reset — the global DB retains them for the engine's
-	// lifetime), and bulk-inserted. The sync.Once gate (not a swapped
-	// flag) makes a concurrent run's worker reaching this shard block
-	// until the insert completes, so its closure-phase lookups never
-	// see a half-harvested shard.
+	// rewrite. The records are rebuilt from the draw streams into the
+	// worker's pooled record buffer, their strings carved from the
+	// worker's durable arena (never reset — the global DB retains them
+	// for the engine's lifetime), and bulk-inserted. The sync.Once gate
+	// (not a swapped flag) makes a concurrent run's worker reaching this
+	// shard block until the insert completes, so its closure-phase
+	// lookups never see a half-harvested shard.
 	e.harvest[sh.Index].Do(func() {
-		if lazy {
-			scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
-			e.leaks.AddAll(scr.leakRecs)
-		} else {
-			e.leaks.Merge(sh.Leaks)
-		}
+		scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
+		e.leaks.AddAll(scr.leakRecs)
 	})
 	// Per-shard leak accounting (persona phones are unique, so summing
 	// shard counts equals the merged DB size): the count lands in the
@@ -851,11 +824,8 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		if !encodable {
 			continue
 		}
-		imsi := sub.IMSI
-		if lazy {
-			scr.phone = population.AppendIMSI(scr.phone[:0], sub.Index)
-			imsi = slab.StringOf(&scr.strs, scr.phone)
-		}
+		scr.phone = sub.AppendIMSI(scr.phone[:0])
+		imsi := slab.StringOf(&scr.strs, scr.phone)
 		mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
 		epoch := uint64(0)
 		var rnd [16]byte
@@ -903,23 +873,9 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 
 	// Encrypt phase: the whole shard's A5/1 bursts run through the
 	// 64-lane bitsliced encryptor, then the rig hears every burst in
-	// session order (the order the per-session path fed them).
-	encStart := time.Now()
-	if e.cfg.ScalarRadio {
-		// The scalar path interleaves encoding and rig feeding per
-		// session, so the whole loop lands in "encrypt" and "feed"
-		// stays empty — the documented ablation caveat.
-		for i := range batch {
-			bursts, err := telecom.EncodeSMSBursts(batch[i])
-			if err != nil {
-				continue
-			}
-			for _, b := range bursts {
-				rig.Feed(b)
-			}
-		}
-		r.phases.observe("encrypt", encStart)
-	} else if len(batch) > 0 {
+	// session order.
+	if len(batch) > 0 {
+		encStart := time.Now()
 		// The flat trace lives in the worker's pooled burst buffer:
 		// FeedBatch copies what it keeps and campaign traffic is
 		// lossless (every session completes within the call), so the
@@ -929,7 +885,7 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 			// The shared TPDU marshaled above, so the batch cannot fail;
 			// reaching here means the session counters above are already
 			// wrong, and silently dropping the shard's traffic would
-			// break the batch≡scalar Summary contract undetected.
+			// change the Summary undetected.
 			panic(fmt.Sprintf("campaign: batch encode of pre-validated sessions failed: %v", err))
 		}
 		r.phases.observe("encrypt", encStart)
@@ -958,15 +914,8 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		// The dossier probe derives the victim's phone into the worker's
 		// scratch buffer and hits the sharded store via the raw-bytes
 		// lookup — no key string is ever built on the closure path.
-		var rec socialdb.Record
-		var err error
-		if lazy {
-			scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
-			rec, err = e.leaks.LookupBytes(scr.phone)
-		} else {
-			rec, err = e.leaks.Lookup(sub.Persona.Phone)
-		}
-		if err == nil {
+		scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
+		if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
 			part.DossierHits++
 			know |= leakFactorMask(rec)
 		}

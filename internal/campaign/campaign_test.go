@@ -119,72 +119,6 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignBatchMatchesScalarRadio pins the gather-then-encrypt
-// restructure's contract: the 64-lane bitsliced batch encryptor must
-// produce a byte-identical Summary to the per-session scalar path —
-// same per-victim draws, same COUNT schedule, same crack and Kc-reuse
-// counters — across radio environments exercising every cipher mode
-// and partial coverage.
-func TestCampaignBatchMatchesScalarRadio(t *testing.T) {
-	scenarios := []Scenario{
-		{}, // paper baseline: 20% A5/0, rest A5/1, reauth skip 0.6
-		{Radio: RadioEnv{A50Fraction: 0.3, A53Fraction: 0.3, OTPSessions: 2}},
-		{Radio: RadioEnv{A50Fraction: -1, ReauthSkip: -1},
-			Budget: AttackerBudget{Receivers: 8, CellChannels: 16}},
-	}
-	for i, sc := range scenarios {
-		var rendered [2]string
-		var services []string
-		for j, scalar := range []bool{false, true} {
-			pop := testPop(t, 1500, 256)
-			services = pop.Services()
-			sum := runCampaign(t, Config{
-				Population: pop, KeyBits: 10, Workers: 3,
-				ScalarRadio: scalar, Scenario: sc,
-			})
-			zeroClock(sum)
-			rendered[j] = sum.Render(services, 25)
-		}
-		if rendered[0] != rendered[1] {
-			t.Errorf("scenario %d: batch and scalar summaries differ:\n--- batch ---\n%s\n--- scalar ---\n%s",
-				i, rendered[0], rendered[1])
-		}
-	}
-}
-
-// TestCampaignBatchMatchesScalarReplay pins the batched chain-replay
-// contract at campaign scale: resolving every fresh crack of a shard's
-// trace through one 64-lane a51.RecoverBatch call (Config.ScalarReplay
-// off) must produce a byte-identical Summary — same crack, cache-hit
-// and Kc-reuse counters, same per-victim outcomes — as the per-session
-// scalar chain replay, on a fixed seed.
-func TestCampaignBatchMatchesScalarReplay(t *testing.T) {
-	scenarios := []Scenario{
-		{}, // paper baseline: 20% A5/0, rest A5/1, reauth skip 0.6
-		{Radio: RadioEnv{A50Fraction: 0.3, A53Fraction: 0.3, OTPSessions: 2}},
-		{Radio: RadioEnv{A50Fraction: -1, ReauthSkip: -1},
-			Budget: AttackerBudget{Receivers: 8, CellChannels: 16}},
-	}
-	for i, sc := range scenarios {
-		var rendered [2]string
-		var services []string
-		for j, scalar := range []bool{false, true} {
-			pop := testPop(t, 1500, 256)
-			services = pop.Services()
-			sum := runCampaign(t, Config{
-				Population: pop, KeyBits: 10, Workers: 3,
-				ScalarReplay: scalar, Scenario: sc,
-			})
-			zeroClock(sum)
-			rendered[j] = sum.Render(services, 25)
-		}
-		if rendered[0] != rendered[1] {
-			t.Errorf("scenario %d: batch-replay and scalar-replay summaries differ:\n--- batch ---\n%s\n--- scalar ---\n%s",
-				i, rendered[0], rendered[1])
-		}
-	}
-}
-
 // TestCampaignWorkerRace drives the worker pool hard with many small
 // shards so `go test -race` exercises the shared cracker, the global
 // sharded leak DB and the streaming aggregation concurrently.

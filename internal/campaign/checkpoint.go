@@ -31,11 +31,9 @@ type Checkpoint struct {
 }
 
 // scenarioHash digests the normalized scenario — policy, platform,
-// radio environment, budget, segment — into the manifest key. Engine
-// ablation knobs (ScalarRadio/ScalarReplay, worker count) are absent
-// deliberately: the batch≡scalar invariant guarantees they cannot
-// change results, so a run may resume under a different engine
-// variant.
+// radio environment, budget, segment — into the manifest key. The
+// worker count is absent deliberately: it cannot change results, so a
+// run may resume under a different one.
 func scenarioHash(norm Scenario) (string, error) {
 	b, err := json.Marshal(norm)
 	if err != nil {

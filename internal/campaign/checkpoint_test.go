@@ -37,66 +37,52 @@ func sharedCracker(t *testing.T, cfg Config) a51.Cracker {
 
 // TestCampaignResumeEquivalence is the core recovery invariant: a run
 // killed at every instrumented crash point and then resumed yields a
-// Summary byte-identical to an uninterrupted run, on both the batch
-// and the scalar ablation paths.
+// Summary byte-identical to an uninterrupted run of the batch pipeline.
 func TestCampaignResumeEquivalence(t *testing.T) {
 	pop := testPop(t, 2048, 128) // 16 shards
 	base := Config{Population: pop, KeyBits: 10, Workers: 2}
 	base.Cracker = sharedCracker(t, base)
 
-	variants := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"batch", func(*Config) {}},
-		{"scalar-radio", func(c *Config) { c.ScalarRadio = true }},
-		{"scalar-replay", func(c *Config) { c.ScalarReplay = true }},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			cfg := base
-			v.mut(&cfg)
-			want := render(t, runCampaign(t, cfg), pop.Services())
+	t.Run("batch", func(t *testing.T) {
+		want := render(t, runCampaign(t, base), pop.Services())
 
-			for _, point := range faultinject.Points() {
-				point := point
-				t.Run(string(point), func(t *testing.T) {
-					dir := t.TempDir()
-					// Crash the first run mid-write, then resume over the
-					// same directory without faults.
-					crashed := cfg
-					crashed.Checkpoint = &Checkpoint{Dir: dir, SnapshotEvery: 4}
-					in, err := faultinject.New(faultinject.Config{Crash: map[faultinject.Point]int{point: 2}})
-					if err != nil {
-						t.Fatal(err)
-					}
-					crashed.Fault = in
-					eng, err := New(crashed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := eng.Run(context.Background()); !errors.Is(err, faultinject.ErrCrash) {
-						t.Fatalf("crashed run error = %v, want ErrCrash", err)
-					}
+		for _, point := range faultinject.Points() {
+			point := point
+			t.Run(string(point), func(t *testing.T) {
+				dir := t.TempDir()
+				// Crash the first run mid-write, then resume over the
+				// same directory without faults.
+				crashed := base
+				crashed.Checkpoint = &Checkpoint{Dir: dir, SnapshotEvery: 4}
+				in, err := faultinject.New(faultinject.Config{Crash: map[faultinject.Point]int{point: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				crashed.Fault = in
+				eng, err := New(crashed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Run(context.Background()); !errors.Is(err, faultinject.ErrCrash) {
+					t.Fatalf("crashed run error = %v, want ErrCrash", err)
+				}
 
-					resumed := cfg
-					resumed.Checkpoint = &Checkpoint{Dir: dir, SnapshotEvery: 4}
-					sum, err := New(resumed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sum.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g := render(t, got, pop.Services()); g != want {
-						t.Errorf("resumed summary diverged from uninterrupted run:\n--- got ---\n%s\n--- want ---\n%s", g, want)
-					}
-				})
-			}
-		})
-	}
+				resumed := base
+				resumed.Checkpoint = &Checkpoint{Dir: dir, SnapshotEvery: 4}
+				sum, err := New(resumed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sum.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g := render(t, got, pop.Services()); g != want {
+					t.Errorf("resumed summary diverged from uninterrupted run:\n--- got ---\n%s\n--- want ---\n%s", g, want)
+				}
+			})
+		}
+	})
 }
 
 // TestCampaignResumeSkipsDoneShards pins the other half of resume: the
@@ -125,7 +111,7 @@ func TestCampaignResumeSkipsDoneShards(t *testing.T) {
 	resumed := cfg
 	resumed.Checkpoint = &Checkpoint{Dir: dir}
 	var maxDone atomic.Int64
-	resumed.Progress = func(done, total int) {
+	resumed.ScenarioProgress = func(_ string, done, total int) {
 		if int64(done) > maxDone.Load() {
 			maxDone.Store(int64(done))
 		}
@@ -320,7 +306,7 @@ func TestCampaignCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Progress = func(done, total int) {
+	cfg.ScenarioProgress = func(_ string, done, total int) {
 		if done > 0 {
 			cancel() // cancel mid-run, after at least one shard merged
 		}

@@ -46,7 +46,7 @@ var (
 	metCoverage = obs.Default.NewGauge("campaign_coverage_fraction",
 		"Live processed/(processed+skipped) fraction; below 1.0 means quarantined shards degraded coverage.")
 	metPopBytesPerSub = obs.Default.NewGauge("campaign_population_bytes_per_subscriber",
-		"Resident bytes per subscriber of the last generated shard (subscriber structs + enrollment arena): the lazy-persona footprint, ~16x smaller than materialized personas.")
+		"Resident bytes per subscriber of the last generated shard: the subscriber structs plus the enrollment arena.")
 )
 
 // phaseNames are the attackShard stages the campaign_phase_seconds

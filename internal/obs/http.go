@@ -39,10 +39,9 @@ func (r *Registry) NewMux() *http.ServeMux {
 }
 
 // Server is a running HTTP server with an explicit shutdown handle.
-// The old StartServer API returned only an anonymous stop func, so
-// callers that needed to stop the listener from several paths (a test
-// cleanup AND a signal handler) either leaked the listener or raced a
-// double close; Close is idempotent and safe from any goroutine.
+// Close is idempotent and safe from any goroutine, so a caller may stop
+// the listener from several paths (a test cleanup and a signal handler)
+// without leaking it or racing a double close.
 type Server struct {
 	ln   net.Listener
 	srv  *http.Server
@@ -121,17 +120,4 @@ func (r *Registry) Serve(ctx context.Context, addr string, handler http.Handler)
 		}()
 	}
 	return s, nil
-}
-
-// StartServer listens on addr and serves the diagnostics mux until ctx
-// is canceled, then shuts down. It returns the bound address (useful
-// with ":0") and an idempotent stop function that blocks until the
-// server has exited. New code should prefer Serve, whose *Server
-// handle the stop function wraps.
-func (r *Registry) StartServer(ctx context.Context, addr string) (string, func(), error) {
-	s, err := r.Serve(ctx, addr, nil)
-	if err != nil {
-		return "", nil, err
-	}
-	return s.Addr(), func() { _ = s.Close() }, nil
 }

@@ -84,41 +84,37 @@ func TestShardBounds(t *testing.T) {
 }
 
 func TestSubscriberValidity(t *testing.T) {
-	p := testPop(t, Config{Seed: 3, Size: 600, ShardSize: 600, MaterializedPersonas: true})
+	p := testPop(t, Config{Seed: 3, Size: 600, ShardSize: 600})
 	sh := p.Shard(0)
 	phones := make(map[string]bool, len(sh.Subscribers))
 	numServices := p.Catalog().Len()
 	for _, sub := range sh.Subscribers {
-		if !identity.ValidCitizenID(sub.Persona.CitizenID) {
-			t.Fatalf("subscriber %d: invalid citizen ID %q", sub.Index, sub.Persona.CitizenID)
+		imsi, persona, rec := p.reference(sub.Index)
+		if !identity.ValidCitizenID(persona.CitizenID) {
+			t.Fatalf("subscriber %d: invalid citizen ID %q", sub.Index, persona.CitizenID)
 		}
-		if !identity.ValidLuhn(sub.Persona.Bankcard) {
-			t.Fatalf("subscriber %d: invalid bankcard %q", sub.Index, sub.Persona.Bankcard)
+		if !identity.ValidLuhn(persona.Bankcard) {
+			t.Fatalf("subscriber %d: invalid bankcard %q", sub.Index, persona.Bankcard)
 		}
-		if len(sub.IMSI) != 15 {
-			t.Fatalf("subscriber %d: IMSI %q not 15 digits", sub.Index, sub.IMSI)
+		if len(imsi) != 15 {
+			t.Fatalf("subscriber %d: IMSI %q not 15 digits", sub.Index, imsi)
 		}
-		if phones[sub.Persona.Phone] {
-			t.Fatalf("duplicate phone %s", sub.Persona.Phone)
+		if phones[persona.Phone] {
+			t.Fatalf("duplicate phone %s", persona.Phone)
 		}
-		phones[sub.Persona.Phone] = true
+		phones[persona.Phone] = true
 		for j := numServices; j < len(sub.Enrolled)*64; j++ {
 			if sub.Enrolled.Has(j) {
 				t.Fatalf("subscriber %d enrolled in out-of-range service %d", sub.Index, j)
 			}
 		}
 		if sub.Leaked {
-			if sub.Record.Phone != sub.Persona.Phone {
-				t.Fatalf("leak record phone %q != persona phone %q", sub.Record.Phone, sub.Persona.Phone)
+			if rec.Phone != persona.Phone {
+				t.Fatalf("leak record phone %q != persona phone %q", rec.Phone, persona.Phone)
 			}
-			if sub.Record.Source == "" {
+			if rec.Source == "" {
 				t.Fatalf("leaked subscriber %d has no source", sub.Index)
 			}
-			if r, err := sh.Leaks.Lookup(sub.Persona.Phone); err != nil || r != *sub.Record {
-				t.Fatalf("shard leak DB lookup = %+v, %v", r, err)
-			}
-		} else if _, err := sh.Leaks.Lookup(sub.Persona.Phone); err == nil {
-			t.Fatalf("unleaked subscriber %d present in leak DB", sub.Index)
 		}
 	}
 }
@@ -149,61 +145,69 @@ func TestLeakFractionDisabled(t *testing.T) {
 	if n := p.Shard(0).LeakCount; n != 0 {
 		t.Fatalf("negative LeakFraction leaked %d subscribers", n)
 	}
-	pm := testPop(t, Config{Seed: 5, Size: 500, ShardSize: 500, LeakFraction: -1, MaterializedPersonas: true})
-	if n := pm.Shard(0).Leaks.Len(); n != 0 {
-		t.Fatalf("negative LeakFraction leaked %d records (materialized)", n)
+	for idx := 0; idx < p.Size(); idx++ {
+		if _, _, rec := p.reference(idx); rec != nil {
+			t.Fatalf("negative LeakFraction: reference builder leaked subscriber %d", idx)
+		}
 	}
 }
 
 // TestLazyMatchesMaterialized pins the compact representation against
-// the eager one: every derivable attribute, the leak classification
-// and the reconstructed leak records must agree byte for byte, and
-// shard recycling (Release + regenerate) must not perturb any of it.
+// the eager reference builder: every derivable attribute, the leak
+// classification and the reconstructed leak records must agree byte
+// for byte, and shard recycling (Release + regenerate) must not perturb
+// any of it.
 func TestLazyMatchesMaterialized(t *testing.T) {
-	cfg := Config{Seed: 9, Size: 1200, ShardSize: 500}
-	lazy := testPop(t, cfg)
-	cfg.MaterializedPersonas = true
-	eager := testPop(t, cfg)
-
+	p := testPop(t, Config{Seed: 9, Size: 1200, ShardSize: 500})
 	var arena slab.Slab[byte]
 	var tmp []byte
-	for i := 0; i < lazy.NumShards(); i++ {
+	for i := 0; i < p.NumShards(); i++ {
 		// Generate and immediately release once, so the compared shard
 		// exercises the pooled-storage path.
-		lazy.Shard(i).Release()
-		ls, es := lazy.Shard(i), eager.Shard(i)
-		if ls.LeakCount != es.LeakCount || ls.LeakCount != es.Leaks.Len() {
-			t.Fatalf("shard %d: LeakCount lazy=%d eager=%d store=%d", i, ls.LeakCount, es.LeakCount, es.Leaks.Len())
-		}
+		p.Shard(i).Release()
+		sh := p.Shard(i)
 		var want []socialdb.Record
-		for j := range ls.Subscribers {
-			lsub, esub := &ls.Subscribers[j], &es.Subscribers[j]
-			if lsub.Index != esub.Index || lsub.Leaked != esub.Leaked || lsub.Class != esub.Class {
-				t.Fatalf("shard %d sub %d: flag mismatch lazy=%+v eager=%+v", i, j, lsub, esub)
+		for j := range sh.Subscribers {
+			sub := &sh.Subscribers[j]
+			if sub.Index != sh.Start+j {
+				t.Fatalf("shard %d sub %d: index %d", i, j, sub.Index)
 			}
-			if !reflect.DeepEqual(lsub.Enrolled, esub.Enrolled) {
-				t.Fatalf("shard %d sub %d: enrollment mismatch", i, j)
+			imsi, persona, rec := p.reference(sub.Index)
+			wantClass := LeakNone
+			if rec != nil {
+				wantClass = LeakWiFi
+				if rec.Source == SourceBreach {
+					wantClass = LeakBreach
+				}
+				want = append(want, *rec)
 			}
-			if got := string(lsub.AppendIMSI(nil)); got != esub.IMSI {
-				t.Fatalf("sub %d: IMSI %q != %q", lsub.Index, got, esub.IMSI)
+			if sub.Leaked != (rec != nil) || sub.Class != wantClass {
+				t.Fatalf("sub %d: Leaked=%v Class=%d, reference record %+v", sub.Index, sub.Leaked, sub.Class, rec)
 			}
-			if got := string(lsub.Ref.AppendPhone(nil)); got != esub.Persona.Phone {
-				t.Fatalf("sub %d: phone %q != %q", lsub.Index, got, esub.Persona.Phone)
+			enrolled := make(ServiceSet, len(sub.Enrolled))
+			p.fillEnrollment(enrolled, sub.Index)
+			if !reflect.DeepEqual(sub.Enrolled, enrolled) {
+				t.Fatalf("sub %d: enrollment mismatch", sub.Index)
 			}
-			if got := lsub.Ref.Persona(); !reflect.DeepEqual(got, *esub.Persona) {
-				t.Fatalf("sub %d: persona mismatch\nlazy  %+v\neager %+v", lsub.Index, got, esub.Persona)
+			if got := string(sub.AppendIMSI(nil)); got != imsi {
+				t.Fatalf("sub %d: IMSI %q != %q", sub.Index, got, imsi)
 			}
-			if esub.Leaked {
-				want = append(want, *esub.Record)
+			if got := string(sub.Ref.AppendPhone(nil)); got != persona.Phone {
+				t.Fatalf("sub %d: phone %q != %q", sub.Index, got, persona.Phone)
 			}
+			if got := sub.Ref.Persona(); !reflect.DeepEqual(got, persona) {
+				t.Fatalf("sub %d: persona mismatch\nlazy      %+v\nreference %+v", sub.Index, got, persona)
+			}
+		}
+		if sh.LeakCount != len(want) {
+			t.Fatalf("shard %d: LeakCount %d, reference leaks %d", i, sh.LeakCount, len(want))
 		}
 		var got []socialdb.Record
-		got, tmp = lazy.AppendLeakRecords(got, ls, &arena, tmp)
+		got, tmp = p.AppendLeakRecords(got, sh, &arena, tmp)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d: AppendLeakRecords mismatch (%d vs %d records)", i, len(got), len(want))
 		}
-		ls.Release()
-		es.Release()
+		sh.Release()
 	}
 }
 

@@ -13,9 +13,8 @@
 // and fresh key recovery (one a51.BatchCracker.RecoverBatch call per
 // trace, deduplicated against the session and auth-context caches),
 // yet produces exactly the captures, statistics and cache state of
-// feeding the same bursts through Feed one at a time. Config's
-// ScalarReplay knob forces the per-session crack path so equivalence
-// tests and ablations can hold the batch engine against it.
+// feeding the same bursts through Feed one at a time, the reference
+// oracle the equivalence tests hold it against.
 package sniffer
 
 import (
@@ -112,13 +111,6 @@ type Config struct {
 	// precomputed a51.Table turns per-session recovery into an
 	// amortized table lookup.
 	Cracker a51.Cracker
-	// ScalarReplay forces FeedBatch to resolve session keys one at a
-	// time through Cracker.Recover even when the backend implements
-	// a51.BatchCracker — the pre-batch scalar chain-replay path, kept
-	// for batch≡scalar equivalence tests and ablation benchmarks (the
-	// campaign engine's Config.ScalarReplay sets it, like ScalarRadio
-	// keeps the per-session radio encoder).
-	ScalarReplay bool
 	// Filter, when non-nil, restricts Captures to matching messages;
 	// non-matching messages are still decoded and counted.
 	Filter Filter
@@ -626,9 +618,6 @@ func (s *Sniffer) ingestBatchLocked(fs *feedScratch, bursts []telecom.RadioBurst
 // passes, or a failed crack a later duplicate session must retry) is
 // ignored or recomputed inline.
 func (s *Sniffer) prefetchCracks(fs *feedScratch) {
-	if s.cfg.ScalarReplay {
-		return
-	}
 	bc, ok := s.cfg.Cracker.(a51.BatchCracker)
 	if !ok {
 		return

@@ -173,8 +173,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 // one bitsliced RecoverBatch call — deduplicating session-ID repeats
 // and (IMSI, RAND) auth-context reuse within the batch — and must
 // still produce the same captures and statistics as burst-by-burst
-// Feed, and as FeedBatch with ScalarReplay forcing per-session scalar
-// chain replay.
+// Feed.
 func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
 	space := a51.KeySpace{Base: 0xC118000000000000, Bits: 10}
 	table, err := a51.BuildTable(space, a51.TableConfig{Frames: telecom.PagingFrames(), ChainLen: 2})
@@ -227,26 +226,19 @@ func TestFeedBatchMatchesFeedTableBackend(t *testing.T) {
 		}
 		batch := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table})
 		batch.FeedBatch(bursts)
-		scalar := New(telecom.NewNetwork(telecom.Config{KeySpace: space, Seed: 11}), Config{Cracker: table, ScalarReplay: true})
-		scalar.FeedBatch(bursts)
 
-		for _, cmp := range []struct {
-			name string
-			s    *Sniffer
-		}{{"batch-replay", batch}, {"scalar-replay", scalar}} {
-			if a, b := feed.Stats(), cmp.s.Stats(); a != b {
-				t.Errorf("reauth=%d %s stats differ:\nfeed  %+v\nother %+v", reauthEvery, cmp.name, a, b)
-			}
-			fc, oc := feed.Captures(), cmp.s.Captures()
-			if len(fc) != len(oc) {
-				t.Fatalf("reauth=%d %s capture counts differ: %d vs %d", reauthEvery, cmp.name, len(fc), len(oc))
-			}
-			for i := range fc {
-				a, b := fc[i], oc[i]
-				a.CrackTime, b.CrackTime = 0, 0 // the only wall-clock field
-				if a != b {
-					t.Errorf("reauth=%d %s capture %d differs:\nfeed  %+v\nother %+v", reauthEvery, cmp.name, i, a, b)
-				}
+		if a, b := feed.Stats(), batch.Stats(); a != b {
+			t.Errorf("reauth=%d stats differ:\nfeed  %+v\nbatch %+v", reauthEvery, a, b)
+		}
+		fc, bc := feed.Captures(), batch.Captures()
+		if len(fc) != len(bc) {
+			t.Fatalf("reauth=%d capture counts differ: %d vs %d", reauthEvery, len(fc), len(bc))
+		}
+		for i := range fc {
+			a, b := fc[i], bc[i]
+			a.CrackTime, b.CrackTime = 0, 0 // the only wall-clock field
+			if a != b {
+				t.Errorf("reauth=%d capture %d differs:\nfeed  %+v\nbatch %+v", reauthEvery, i, a, b)
 			}
 		}
 	}

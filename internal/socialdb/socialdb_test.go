@@ -108,18 +108,3 @@ func TestShardedConcurrentLookups(t *testing.T) {
 		}
 	}
 }
-
-// TestMerge checks dump merging keeps last-write-wins semantics.
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Add(Record{Phone: "+8613800000001", Source: "old"})
-	b.Add(Record{Phone: "+8613800000001", Source: "new"})
-	b.Add(Record{Phone: "+8613800000002", Source: "new"})
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	if r, _ := a.Lookup("+8613800000001"); r.Source != "new" {
-		t.Fatalf("merge lost last write: %+v", r)
-	}
-}

@@ -98,8 +98,8 @@ func clockOne(reg, mask, taps uint32) uint32 {
 	return ((reg << 1) & mask) | parity(reg&taps)
 }
 
-// clockAll advances all three registers (used only during key/frame
-// setup, where clocking is regular).
+// clockAll advances all three registers (regular clocking, used only
+// by the clocked setup reference loadClocked).
 func (c *Cipher) clockAll() {
 	c.r1 = clockOne(c.r1, r1Mask, r1Taps)
 	c.r2 = clockOne(c.r2, r2Mask, r2Taps)
@@ -144,8 +144,32 @@ func New(kc uint64, frame uint32) *Cipher {
 
 // init loads kc and frame into a zeroed cipher state. Hot search loops
 // call it on a stack-allocated Cipher to avoid New's heap allocation.
+// The 86 regular setup clocks come from the linear map (linearState);
+// only the 100 majority clocks run here.
 func (c *Cipher) init(kc uint64, frame uint32) {
-	c.r1, c.r2, c.r3 = 0, 0, 0
+	st := linearState(kc, frame)
+	c.r1 = uint32(st) & r1Mask
+	c.r2 = uint32(st>>r2Shift) & r2Mask
+	c.r3 = uint32(st>>r3Shift) & r3Mask
+	for i := 0; i < 100; i++ {
+		c.clock()
+	}
+}
+
+// Setup-state packing: one uint64 holds r1, r2 and r3 in bits 0–18,
+// 19–40 and 41–63.
+const (
+	r2Shift = 19
+	r3Shift = 41
+)
+
+// loadClocked is the reference key/frame setup: from a zero state, 64
+// regular clocks mixing in the key bits (LSB-first within each byte,
+// bytes most significant first), then 22 mixing in the frame bits
+// (bits ≥22 never enter). It returns the packed state. It builds the
+// setup tables and is the oracle the tests check linearState against.
+func loadClocked(kc uint64, frame uint32) uint64 {
+	var c Cipher
 	for i := 0; i < 64; i++ {
 		c.clockAll()
 		keyByte := byte(kc >> (56 - 8*uint(i/8)))
@@ -161,9 +185,54 @@ func (c *Cipher) init(kc uint64, frame uint32) {
 		c.r2 ^= bit
 		c.r3 ^= bit
 	}
-	for i := 0; i < 100; i++ {
-		c.clock()
+	return uint64(c.r1) | uint64(c.r2)<<r2Shift | uint64(c.r3)<<r3Shift
+}
+
+// From a zero state the setup clocks are linear over GF(2) in (Kc,
+// COUNT): shifts and feedback are XORs, and the input bits are XORed
+// in. The packed post-setup state is therefore the XOR of one table
+// entry per input byte — the fact published A5/1 cryptanalysis
+// (Biryukov–Shamir–Wagner) builds on. keyTab[i][v] is the state key
+// byte (kc>>8i)&0xFF = v loads alone, frameTab[i][v] the state COUNT
+// byte (frame>>8i)&0xFF = v loads alone (so frameTab[2] repeats every
+// 64 entries: frame bits ≥22 are ignored).
+var (
+	keyTab   [8][256]uint64
+	frameTab [3][256]uint64
+)
+
+func init() {
+	for i := range keyTab {
+		fillSetupTable(&keyTab[i], func(v uint64) uint64 { return loadClocked(v<<(8*i), 0) })
 	}
+	for i := range frameTab {
+		fillSetupTable(&frameTab[i], func(v uint64) uint64 { return loadClocked(0, uint32(v)<<(8*i)) })
+	}
+}
+
+// fillSetupTable clocks the single-bit byte values through load and
+// composes every other entry by XOR from its lowest set bit and the
+// rest.
+func fillSetupTable(tab *[256]uint64, load func(v uint64) uint64) {
+	for v := 1; v < 256; v++ {
+		low := v & -v
+		if v == low {
+			tab[v] = load(uint64(v))
+		} else {
+			tab[v] = tab[low] ^ tab[v^low]
+		}
+	}
+}
+
+// linearState returns the packed state after the 86 setup clocks for
+// (kc, frame): loadClocked, by eleven table lookups.
+func linearState(kc uint64, frame uint32) uint64 {
+	return keyTab[0][byte(kc)] ^ keyTab[1][byte(kc>>8)] ^
+		keyTab[2][byte(kc>>16)] ^ keyTab[3][byte(kc>>24)] ^
+		keyTab[4][byte(kc>>32)] ^ keyTab[5][byte(kc>>40)] ^
+		keyTab[6][byte(kc>>48)] ^ keyTab[7][byte(kc>>56)] ^
+		frameTab[0][byte(frame)] ^ frameTab[1][byte(frame>>8)] ^
+		frameTab[2][byte(frame>>16)]
 }
 
 // KeystreamBurst produces the two 114-bit keystream blocks for this

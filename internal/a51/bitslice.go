@@ -17,23 +17,14 @@ type bsState struct {
 	r3 [23]uint64
 }
 
-// clockAll advances all three registers in every lane (regular
-// clocking, used only during key/frame setup).
-func (s *bsState) clockAll() {
-	fb1 := s.r1[18] ^ s.r1[17] ^ s.r1[16] ^ s.r1[13]
-	fb2 := s.r2[21] ^ s.r2[20]
-	fb3 := s.r3[22] ^ s.r3[21] ^ s.r3[20] ^ s.r3[7]
-	copy(s.r1[1:], s.r1[:18])
-	copy(s.r2[1:], s.r2[:21])
-	copy(s.r3[1:], s.r3[:22])
-	s.r1[0] = fb1
-	s.r2[0] = fb2
-	s.r3[0] = fb3
-}
-
 // clock advances the registers by the majority rule independently in
 // every lane: m1/m2/m3 are per-lane masks of which registers step, and
-// each bit plane conditionally shifts under its mask.
+// each bit plane takes its lower neighbour under its mask,
+// r[j] = cur ^ m&(cur^prev). The shift is written out word by word,
+// carrying each loaded word down as the next cur, so every register
+// word is loaded once and stored once per clock; the rolled loop it
+// replaces reloaded both neighbours and was the largest single CPU
+// cost of the campaign.
 func (s *bsState) clock() {
 	b1, b2, b3 := s.r1[8], s.r2[10], s.r3[10]
 	maj := b1&b2 | b1&b3 | b2&b3
@@ -43,18 +34,74 @@ func (s *bsState) clock() {
 	fb1 := s.r1[18] ^ s.r1[17] ^ s.r1[16] ^ s.r1[13]
 	fb2 := s.r2[21] ^ s.r2[20]
 	fb3 := s.r3[22] ^ s.r3[21] ^ s.r3[20] ^ s.r3[7]
-	for j := 18; j > 0; j-- {
-		s.r1[j] = m1&s.r1[j-1] | ^m1&s.r1[j]
-	}
-	s.r1[0] = m1&fb1 | ^m1&s.r1[0]
-	for j := 21; j > 0; j-- {
-		s.r2[j] = m2&s.r2[j-1] | ^m2&s.r2[j]
-	}
-	s.r2[0] = m2&fb2 | ^m2&s.r2[0]
-	for j := 22; j > 0; j-- {
-		s.r3[j] = m3&s.r3[j-1] | ^m3&s.r3[j]
-	}
-	s.r3[0] = m3&fb3 | ^m3&s.r3[0]
+	var c uint64
+	c = s.r1[18]
+	c, s.r1[18] = s.r1[17], c^m1&(c^s.r1[17])
+	c, s.r1[17] = s.r1[16], c^m1&(c^s.r1[16])
+	c, s.r1[16] = s.r1[15], c^m1&(c^s.r1[15])
+	c, s.r1[15] = s.r1[14], c^m1&(c^s.r1[14])
+	c, s.r1[14] = s.r1[13], c^m1&(c^s.r1[13])
+	c, s.r1[13] = s.r1[12], c^m1&(c^s.r1[12])
+	c, s.r1[12] = s.r1[11], c^m1&(c^s.r1[11])
+	c, s.r1[11] = s.r1[10], c^m1&(c^s.r1[10])
+	c, s.r1[10] = s.r1[9], c^m1&(c^s.r1[9])
+	c, s.r1[9] = s.r1[8], c^m1&(c^s.r1[8])
+	c, s.r1[8] = s.r1[7], c^m1&(c^s.r1[7])
+	c, s.r1[7] = s.r1[6], c^m1&(c^s.r1[6])
+	c, s.r1[6] = s.r1[5], c^m1&(c^s.r1[5])
+	c, s.r1[5] = s.r1[4], c^m1&(c^s.r1[4])
+	c, s.r1[4] = s.r1[3], c^m1&(c^s.r1[3])
+	c, s.r1[3] = s.r1[2], c^m1&(c^s.r1[2])
+	c, s.r1[2] = s.r1[1], c^m1&(c^s.r1[1])
+	c, s.r1[1] = s.r1[0], c^m1&(c^s.r1[0])
+	s.r1[0] = c ^ m1&(c^fb1)
+	c = s.r2[21]
+	c, s.r2[21] = s.r2[20], c^m2&(c^s.r2[20])
+	c, s.r2[20] = s.r2[19], c^m2&(c^s.r2[19])
+	c, s.r2[19] = s.r2[18], c^m2&(c^s.r2[18])
+	c, s.r2[18] = s.r2[17], c^m2&(c^s.r2[17])
+	c, s.r2[17] = s.r2[16], c^m2&(c^s.r2[16])
+	c, s.r2[16] = s.r2[15], c^m2&(c^s.r2[15])
+	c, s.r2[15] = s.r2[14], c^m2&(c^s.r2[14])
+	c, s.r2[14] = s.r2[13], c^m2&(c^s.r2[13])
+	c, s.r2[13] = s.r2[12], c^m2&(c^s.r2[12])
+	c, s.r2[12] = s.r2[11], c^m2&(c^s.r2[11])
+	c, s.r2[11] = s.r2[10], c^m2&(c^s.r2[10])
+	c, s.r2[10] = s.r2[9], c^m2&(c^s.r2[9])
+	c, s.r2[9] = s.r2[8], c^m2&(c^s.r2[8])
+	c, s.r2[8] = s.r2[7], c^m2&(c^s.r2[7])
+	c, s.r2[7] = s.r2[6], c^m2&(c^s.r2[6])
+	c, s.r2[6] = s.r2[5], c^m2&(c^s.r2[5])
+	c, s.r2[5] = s.r2[4], c^m2&(c^s.r2[4])
+	c, s.r2[4] = s.r2[3], c^m2&(c^s.r2[3])
+	c, s.r2[3] = s.r2[2], c^m2&(c^s.r2[2])
+	c, s.r2[2] = s.r2[1], c^m2&(c^s.r2[1])
+	c, s.r2[1] = s.r2[0], c^m2&(c^s.r2[0])
+	s.r2[0] = c ^ m2&(c^fb2)
+	c = s.r3[22]
+	c, s.r3[22] = s.r3[21], c^m3&(c^s.r3[21])
+	c, s.r3[21] = s.r3[20], c^m3&(c^s.r3[20])
+	c, s.r3[20] = s.r3[19], c^m3&(c^s.r3[19])
+	c, s.r3[19] = s.r3[18], c^m3&(c^s.r3[18])
+	c, s.r3[18] = s.r3[17], c^m3&(c^s.r3[17])
+	c, s.r3[17] = s.r3[16], c^m3&(c^s.r3[16])
+	c, s.r3[16] = s.r3[15], c^m3&(c^s.r3[15])
+	c, s.r3[15] = s.r3[14], c^m3&(c^s.r3[14])
+	c, s.r3[14] = s.r3[13], c^m3&(c^s.r3[13])
+	c, s.r3[13] = s.r3[12], c^m3&(c^s.r3[12])
+	c, s.r3[12] = s.r3[11], c^m3&(c^s.r3[11])
+	c, s.r3[11] = s.r3[10], c^m3&(c^s.r3[10])
+	c, s.r3[10] = s.r3[9], c^m3&(c^s.r3[9])
+	c, s.r3[9] = s.r3[8], c^m3&(c^s.r3[8])
+	c, s.r3[8] = s.r3[7], c^m3&(c^s.r3[7])
+	c, s.r3[7] = s.r3[6], c^m3&(c^s.r3[6])
+	c, s.r3[6] = s.r3[5], c^m3&(c^s.r3[5])
+	c, s.r3[5] = s.r3[4], c^m3&(c^s.r3[4])
+	c, s.r3[4] = s.r3[3], c^m3&(c^s.r3[3])
+	c, s.r3[3] = s.r3[2], c^m3&(c^s.r3[2])
+	c, s.r3[2] = s.r3[1], c^m3&(c^s.r3[1])
+	c, s.r3[1] = s.r3[0], c^m3&(c^s.r3[0])
+	s.r3[0] = c ^ m3&(c^fb3)
 }
 
 // out returns the per-lane output bit plane: XOR of the three
@@ -63,60 +110,43 @@ func (s *bsState) out() uint64 {
 	return s.r1[18] ^ s.r2[21] ^ s.r3[22]
 }
 
-// revBitsInBytes reverses the bit order within each byte of x (bytes
-// stay in place): three mask-shift rounds instead of eight table
-// lookups.
-func revBitsInBytes(x uint64) uint64 {
-	const m1 = 0x5555555555555555
-	const m2 = 0x3333333333333333
-	const m4 = 0x0F0F0F0F0F0F0F0F
-	x = (x&m1)<<1 | (x>>1)&m1
-	x = (x&m2)<<2 | (x>>2)&m2
-	x = (x&m4)<<4 | (x>>4)&m4
-	return x
-}
-
-// loadKeys zeroes the state and runs the 64 regular clocks mixing in
-// per-lane key bits — the first stage of Cipher.init mirrored bit for
-// bit, shared by the search path (load), the encryptor (loadPairs) and
-// the replay engine so the key schedule lives in exactly one place.
-//
-// The per-clock key-bit planes are one 64×64 bit transpose of the key
-// words: clock i mixes in key bit (56 - 8*(i/8) + i&7) of every lane,
-// which is bit (63-i) after reversing the bit order within each byte.
-// Building the planes with transpose64 replaces the former 64×64
-// scalar bit gather — the second-hottest spot of every batch pass.
-func (s *bsState) loadKeys(keys []uint64) {
-	*s = bsState{}
-	var planes [64]uint64
+// loadPairs initializes the lanes for up to 64 independent (key, frame)
+// pairs, mirroring Cipher.init bit for bit: each lane's packed
+// post-setup state is one linearState lookup, a single transpose64
+// turns the 64 lane words into the 64 register-bit planes, and the 100
+// majority clocks follow. Lanes beyond len(keys) start from the zero
+// state.
+func (s *bsState) loadPairs(keys []uint64, frames []uint32) {
+	frames = frames[:len(keys)]
+	var w [bsLanes]uint64
 	for l, kc := range keys {
-		planes[63-l] = revBitsInBytes(kc)
+		w[63-l] = linearState(kc, frames[l])
 	}
-	transpose64(&planes)
-	for i := 0; i < 64; i++ {
-		s.clockAll()
-		s.r1[0] ^= planes[i]
-		s.r2[0] ^= planes[i]
-		s.r3[0] ^= planes[i]
+	// After the transpose, word 63-k holds state bit k of every lane
+	// (lane l in bit l).
+	transpose64(&w)
+	for j := range s.r1 {
+		s.r1[j] = w[63-j]
 	}
-}
-
-// load initializes the lanes for up to 64 candidate keys and one frame
-// number, mirroring Cipher.init bit for bit: 64 regular clocks mixing
-// in per-lane key bits, 22 regular clocks mixing in the (broadcast)
-// frame bits, then 100 irregular clocks.
-func (s *bsState) load(keys []uint64, frame uint32) {
-	s.loadKeys(keys)
-	for i := 0; i < 22; i++ {
-		s.clockAll()
-		plane := -uint64(frame >> uint(i) & 1) // 0 or all-ones: same bit in every lane
-		s.r1[0] ^= plane
-		s.r2[0] ^= plane
-		s.r3[0] ^= plane
+	for j := range s.r2 {
+		s.r2[j] = w[63-r2Shift-j]
+	}
+	for j := range s.r3 {
+		s.r3[j] = w[63-r3Shift-j]
 	}
 	for i := 0; i < 100; i++ {
 		s.clock()
 	}
+}
+
+// load is the search path's case of loadPairs: up to 64 candidate keys
+// under one broadcast frame number.
+func (s *bsState) load(keys []uint64, frame uint32) {
+	var frames [bsLanes]uint32
+	for l := range keys {
+		frames[l] = frame
+	}
+	s.loadPairs(keys, frames[:len(keys)])
 }
 
 // bsKeystream generates nbits of downlink keystream for up to 64 keys

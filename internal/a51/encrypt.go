@@ -13,27 +13,6 @@ package a51
 // pass carries: one cipher per bit position of a uint64.
 const BatchLanes = bsLanes
 
-// loadPairs initializes the lanes for up to 64 independent (key, frame)
-// pairs, mirroring Cipher.init bit for bit. It is the per-lane-frame
-// counterpart of load: the search path broadcasts one frame across all
-// lanes, the encryptor gives every lane its own COUNT value.
-func (s *bsState) loadPairs(keys []uint64, frames []uint32) {
-	s.loadKeys(keys)
-	for i := 0; i < 22; i++ {
-		s.clockAll()
-		var plane uint64
-		for l, fn := range frames {
-			plane |= uint64(fn>>uint(i)&1) << uint(l)
-		}
-		s.r1[0] ^= plane
-		s.r2[0] ^= plane
-		s.r3[0] ^= plane
-	}
-	for i := 0; i < 100; i++ {
-		s.clock()
-	}
-}
-
 // transpose64 transposes a 64×64 bit matrix in place (Hacker's Delight
 // §7-3): element (r, c) is bit (63-c) of a[r]. The encryptor uses it to
 // turn 64 output planes (one word per clock, one lane per bit) into 64

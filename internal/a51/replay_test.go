@@ -178,7 +178,8 @@ func TestRecoverAllUsesBatchBackend(t *testing.T) {
 
 // TestFPBatchMatchesScalarFingerprint pins the lane-sliced fingerprint
 // against the scalar one across per-lane frames — the primitive the
-// whole batched replay rests on.
+// whole batched replay rests on. Frames are full 32-bit values: both
+// paths ignore bits ≥22.
 func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, lanes := range []int{1, 7, 63, 64} {
@@ -187,7 +188,7 @@ func TestFPBatchMatchesScalarFingerprint(t *testing.T) {
 		out := make([]uint64, lanes)
 		for i := range keys {
 			keys[i] = rng.Uint64()
-			frames[i] = rng.Uint32() & 0x3FFFFF
+			frames[i] = rng.Uint32()
 		}
 		fpBatch(keys, frames, out)
 		for i := range keys {

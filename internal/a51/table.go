@@ -559,9 +559,14 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if bodyLen > maxTableBody {
 		return nil, fmt.Errorf("%w: implausible body length %d", ErrTableCorrupt, bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("%w: body truncated: %v", ErrTableCorrupt, err)
+	// Read through a limit instead of allocating bodyLen up front, so
+	// a short file claiming a huge body costs only the bytes it has.
+	body, err := io.ReadAll(io.LimitReader(br, int64(bodyLen)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading body: %v", ErrTableCorrupt, err)
+	}
+	if uint64(len(body)) != bodyLen {
+		return nil, fmt.Errorf("%w: body truncated: %d of %d bytes", ErrTableCorrupt, len(body), bodyLen)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
@@ -585,24 +590,40 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if tr.err == nil {
 		n = uint64(1) << t.space.Bits
 	}
+	// Frames, endpoints and overflow fingerprints must be strictly
+	// ascending, as Save writes them: a loaded table then re-saves to
+	// exactly the bytes it came from, and no duplicate key silently
+	// replaces an earlier entry.
 	nframes := tr.u32()
+	var prevFrame uint32
 	for i := uint32(0); i < nframes && tr.err == nil; i++ {
 		frame := tr.u32()
-		if _, dup := t.frames[frame]; dup {
-			tr.fail("frame %d listed twice", frame)
+		if tr.err == nil && i > 0 && frame <= prevFrame {
+			if frame == prevFrame {
+				tr.fail("frame %d listed twice", frame)
+			} else {
+				tr.fail("frame %d out of order after %d", frame, prevFrame)
+			}
 			break
 		}
+		prevFrame = frame
 		ft := &frameTable{
 			chains:   make(map[uint64][]chainRef),
 			overflow: make(map[uint64][]uint64),
 		}
 		nends := tr.u32()
+		var prevEnd uint64
 		for j := uint32(0); j < nends && tr.err == nil; j++ {
 			end := tr.u64()
 			if tr.err == nil && end >= n {
 				tr.fail("chain endpoint %#x outside %d-bit space", end, t.space.Bits)
 				break
 			}
+			if tr.err == nil && j > 0 && end <= prevEnd {
+				tr.fail("chain endpoint %#x not above %#x", end, prevEnd)
+				break
+			}
+			prevEnd = end
 			nchains := tr.u32()
 			if !tr.need(nchains, 12, "chain") {
 				break
@@ -622,12 +643,18 @@ func LoadTable(r io.Reader) (*Table, error) {
 			ft.chains[end] = refs
 		}
 		nfps := tr.u32()
+		var prevFP uint64
 		for j := uint32(0); j < nfps && tr.err == nil; j++ {
 			fp := tr.u64()
 			if tr.err == nil && fp >= 1<<tableFPBits {
 				tr.fail("overflow fingerprint %#x wider than %d bits", fp, tableFPBits)
 				break
 			}
+			if tr.err == nil && j > 0 && fp <= prevFP {
+				tr.fail("overflow fingerprint %#x not above %#x", fp, prevFP)
+				break
+			}
+			prevFP = fp
 			nkeys := tr.u32()
 			if !tr.need(nkeys, 8, "overflow key") {
 				break

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// savedTable builds a small real table and returns its serialized form.
-func savedTable(t *testing.T) (*Table, []byte) {
+// savedTable builds a small real table over a bits-wide key space and
+// returns its serialized form.
+func savedTable(t testing.TB, bits int) (*Table, []byte) {
 	t.Helper()
-	space := KeySpace{Base: 0xC118000000000000, Bits: 8}
+	space := KeySpace{Base: 0xC118000000000000, Bits: bits}
 	table, err := BuildTable(space, TableConfig{Frames: FrameRange(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +26,7 @@ func savedTable(t *testing.T) (*Table, []byte) {
 }
 
 func TestTableSaveLoadByteStable(t *testing.T) {
-	table, raw := savedTable(t)
+	table, raw := savedTable(t, 8)
 	got, err := LoadTable(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestTableSaveLoadByteStable(t *testing.T) {
 // TestLoadTableTruncationMatrix cuts the file at every byte offset:
 // each prefix must fail cleanly, never panic or return a table.
 func TestLoadTableTruncationMatrix(t *testing.T) {
-	_, raw := savedTable(t)
+	_, raw := savedTable(t, 8)
 	for cut := 0; cut < len(raw); cut++ {
 		if _, err := LoadTable(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at byte %d/%d accepted", cut, len(raw))
@@ -58,7 +59,7 @@ func TestLoadTableTruncationMatrix(t *testing.T) {
 // TestLoadTableBitFlipMatrix flips single bits across the file: the
 // magic check, length prefix validation or CRC32C must catch each one.
 func TestLoadTableBitFlipMatrix(t *testing.T) {
-	_, raw := savedTable(t)
+	_, raw := savedTable(t, 8)
 	for off := 0; off < len(raw); off += 3 {
 		mut := bytes.Clone(raw)
 		mut[off] ^= 1 << (off % 8)
@@ -69,7 +70,7 @@ func TestLoadTableBitFlipMatrix(t *testing.T) {
 }
 
 func TestLoadTableRejectsV1(t *testing.T) {
-	_, raw := savedTable(t)
+	_, raw := savedTable(t, 8)
 	mut := bytes.Clone(raw)
 	copy(mut, tableMagicV1[:])
 	_, err := LoadTable(bytes.NewReader(mut))
@@ -85,7 +86,7 @@ func TestLoadTableRejectsWrongMagic(t *testing.T) {
 }
 
 func TestLoadTableRejectsImplausibleLength(t *testing.T) {
-	_, raw := savedTable(t)
+	_, raw := savedTable(t, 8)
 	mut := bytes.Clone(raw)
 	binary.LittleEndian.PutUint64(mut[8:], maxTableBody+1)
 	_, err := LoadTable(bytes.NewReader(mut))
@@ -158,32 +159,36 @@ func (b tinyBody) bytes() []byte {
 	return buf.Bytes()
 }
 
+// fieldCorruptions bend validTiny out of shape one field at a time;
+// want is a fragment of the error each must produce.
+var fieldCorruptions = []struct {
+	name string
+	mut  func(*tinyBody)
+	want string
+}{
+	{"bits zero", func(b *tinyBody) { b.bits = 0 }, "geometry"},
+	{"bits too wide", func(b *tinyBody) { b.bits = 30 }, "geometry"},
+	{"chainLen not power of two", func(b *tinyBody) { b.chainLen = 12 }, "geometry"},
+	{"chainLen zero", func(b *tinyBody) { b.chainLen = 0 }, "geometry"},
+	{"endpoint outside space", func(b *tinyBody) { b.end = 256 }, "endpoint"},
+	{"chain start outside space", func(b *tinyBody) { b.start = 1 << 20 }, "bounds"},
+	{"chain length zero", func(b *tinyBody) { b.length = 0 }, "bounds"},
+	{"chain length beyond walk", func(b *tinyBody) { b.length = 1 << 30 }, "bounds"},
+	{"fingerprint too wide", func(b *tinyBody) { b.fp = 1 << 40 }, "fingerprint"},
+	{"overflow key outside space", func(b *tinyBody) { b.key = 300 }, "outside"},
+	{"duplicate frame", func(b *tinyBody) { b.frames = []uint32{0, 0} }, "twice"},
+	{"frames out of order", func(b *tinyBody) { b.frames = []uint32{1, 0} }, "order"},
+	{"chain count exceeds body", func(b *tinyBody) { b.nchains = 1 << 30 }, "exceeds remaining"},
+	{"key count exceeds body", func(b *tinyBody) { b.nkeys = 1 << 30 }, "exceeds remaining"},
+	{"trailing garbage", func(b *tinyBody) { b.trailing = []byte{0xEE} }, "trailing"},
+	{"body truncated mid-record", func(b *tinyBody) { b.skipOverflowKey = true }, "exceeds remaining"},
+}
+
 func TestLoadTableFieldValidationMatrix(t *testing.T) {
 	if _, err := LoadTable(bytes.NewReader(seal(validTiny().bytes()))); err != nil {
 		t.Fatalf("baseline tiny body rejected: %v", err)
 	}
-	cases := []struct {
-		name string
-		mut  func(*tinyBody)
-		want string
-	}{
-		{"bits zero", func(b *tinyBody) { b.bits = 0 }, "geometry"},
-		{"bits too wide", func(b *tinyBody) { b.bits = 30 }, "geometry"},
-		{"chainLen not power of two", func(b *tinyBody) { b.chainLen = 12 }, "geometry"},
-		{"chainLen zero", func(b *tinyBody) { b.chainLen = 0 }, "geometry"},
-		{"endpoint outside space", func(b *tinyBody) { b.end = 256 }, "endpoint"},
-		{"chain start outside space", func(b *tinyBody) { b.start = 1 << 20 }, "bounds"},
-		{"chain length zero", func(b *tinyBody) { b.length = 0 }, "bounds"},
-		{"chain length beyond walk", func(b *tinyBody) { b.length = 1 << 30 }, "bounds"},
-		{"fingerprint too wide", func(b *tinyBody) { b.fp = 1 << 40 }, "fingerprint"},
-		{"overflow key outside space", func(b *tinyBody) { b.key = 300 }, "outside"},
-		{"duplicate frame", func(b *tinyBody) { b.frames = []uint32{0, 0} }, "twice"},
-		{"chain count exceeds body", func(b *tinyBody) { b.nchains = 1 << 30 }, "exceeds remaining"},
-		{"key count exceeds body", func(b *tinyBody) { b.nkeys = 1 << 30 }, "exceeds remaining"},
-		{"trailing garbage", func(b *tinyBody) { b.trailing = []byte{0xEE} }, "trailing"},
-		{"body truncated mid-record", func(b *tinyBody) { b.skipOverflowKey = true }, "exceeds remaining"},
-	}
-	for _, tc := range cases {
+	for _, tc := range fieldCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			b := validTiny()
 			tc.mut(&b)
@@ -196,6 +201,39 @@ func TestLoadTableFieldValidationMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadTable feeds arbitrary bytes to LoadTable twice: as a whole
+// file, and sealed as a body with a valid CRC so mutations reach the
+// field validators. Nothing may panic, and a table that loads must
+// Save back to exactly the bytes it was loaded from.
+func FuzzLoadTable(f *testing.F) {
+	// A 4-bit table keeps the seeds a few hundred bytes long, so the
+	// fuzzer's minimizer stays cheap.
+	_, raw := savedTable(f, 4)
+	f.Add(raw)
+	f.Add(raw[16 : len(raw)-4]) // the saved body alone
+	f.Add(validTiny().bytes())
+	for _, tc := range fieldCorruptions {
+		b := validTiny()
+		tc.mut(&b)
+		f.Add(b.bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, seal(data)} {
+			table, err := LoadTable(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := table.Save(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatalf("loaded table re-saves differently:\nin  %x\nout %x", in, out.Bytes())
+			}
+		}
+	})
 }
 
 func TestTableIdentityDistinguishesGeometry(t *testing.T) {

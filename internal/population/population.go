@@ -270,9 +270,16 @@ func (p *Population) Shard(i int) *Shard {
 	if i < 0 || i >= p.NumShards() {
 		panic(fmt.Sprintf("population: shard %d out of range [0, %d)", i, p.NumShards()))
 	}
+	sh := p.pool.Get().(*Shard)
+	p.fill(sh, i)
+	return sh
+}
+
+// fill generates shard i into sh, reusing its subscriber slice and
+// enrollment arena.
+func (p *Population) fill(sh *Shard, i int) {
 	start, end := p.ShardBounds(i)
 	n := end - start
-	sh := p.pool.Get().(*Shard)
 	sh.Index, sh.Start, sh.End = i, start, end
 	sh.LeakCount = 0
 	sh.enroll.Reset()
@@ -294,7 +301,6 @@ func (p *Population) Shard(i int) *Shard {
 			sh.LeakCount++
 		}
 	}
-	return sh
 }
 
 // reference materializes subscriber idx eagerly: its IMSI, full

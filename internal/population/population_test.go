@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/actfort/actfort/internal/dataset"
 	"github.com/actfort/actfort/internal/identity"
@@ -208,6 +209,27 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 			t.Fatalf("shard %d: AppendLeakRecords mismatch (%d vs %d records)", i, len(got), len(want))
 		}
 		sh.Release()
+	}
+}
+
+// TestMemBytesStableAcrossRecycling pins the arena gauge: a shard
+// whose enrollment arena grows during its first generation must report
+// the same MemBytes as a regeneration on the recycled (already grown)
+// arena.
+func TestMemBytesStableAcrossRecycling(t *testing.T) {
+	p := testPop(t, Config{Seed: 3, Size: 20000, ShardSize: 20000})
+	if words := p.ShardSize() * p.words; words <= 2*4096 {
+		t.Fatalf("shard carves %d arena words: too few to force growth", words)
+	}
+	sh := &Shard{owner: p}
+	p.fill(sh, 0)
+	first := sh.MemBytes()
+	p.fill(sh, 0)
+	if again := sh.MemBytes(); again != first {
+		t.Fatalf("MemBytes: first generation %d B, recycled arena %d B", first, again)
+	}
+	if want := p.ShardSize() * (int(unsafe.Sizeof(Subscriber{})) + 8*p.words); first != want {
+		t.Fatalf("MemBytes = %d B, want %d B", first, want)
 	}
 }
 

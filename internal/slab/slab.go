@@ -17,6 +17,9 @@ const minBlock = 1 << 12
 // for concurrent use (callers pool whole Slabs, not carves).
 type Slab[T any] struct {
 	buf []T
+	// retired counts the elements carved from blocks replaced since the
+	// last Reset.
+	retired int
 }
 
 // Grab carves a length-n, capacity-n buffer. The carve never aliases
@@ -32,6 +35,7 @@ func (s *Slab[T]) Grab(n int) []T {
 		if c < n {
 			c = n
 		}
+		s.retired += len(s.buf)
 		s.buf = make([]T, 0, c)
 	}
 	off := len(s.buf)
@@ -46,12 +50,15 @@ func (s *Slab[T]) GrabEmpty(n int) []T {
 }
 
 // Reset empties the slab for reuse, keeping the largest block.
-func (s *Slab[T]) Reset() { s.buf = s.buf[:0] }
+func (s *Slab[T]) Reset() {
+	s.buf = s.buf[:0]
+	s.retired = 0
+}
 
-// Len reports the elements carved from the current block since the
-// last Reset (earlier, retired blocks are not counted) — the live
-// arena footprint the memory gauges read.
-func (s *Slab[T]) Len() int { return len(s.buf) }
+// Len reports every element carved since the last Reset, including
+// carves from blocks retired by growth — the live arena footprint the
+// memory gauges read.
+func (s *Slab[T]) Len() int { return s.retired + len(s.buf) }
 
 // StringOf copies b into a carve of the byte arena and returns it as a
 // string headed directly at the carve — no per-string allocation, only

@@ -7,7 +7,13 @@
 // The cipher is implemented bit-exactly: three linear feedback shift
 // registers (19/22/23 bits) with majority-rule irregular clocking,
 // validated against the published reference test vector of Briceno,
-// Goldberg and Wagner (1999).
+// Goldberg and Wagner (1999). The key/frame load (86 regular clocks
+// from a zero state) is linear over GF(2), so every cipher path —
+// scalar, bitsliced search, encryptor and chain replay — takes the
+// post-load state from eleven per-byte table lookups (linearState) and
+// clocks only the 100 majority steps and the keystream. The clocked
+// load survives unexported as the tables' generator and the tests'
+// reference.
 //
 // The real-world attack uses precomputed rainbow tables over the full
 // 64-bit key space (the srlabs "Kraken" tables cited by the paper).
@@ -19,7 +25,8 @@
 //   - Bitsliced: packs 64 candidate keys into the bit positions of
 //     uint64 words — one word per register bit — and clocks all 64
 //     ciphers with the same handful of boolean operations, the classic
-//     software speedup the real crackers use.
+//     software speedup the real crackers use. The 64 lanes' loaded
+//     states enter the planes through one 64×64 bit transpose.
 //   - Table: a precomputed lookup structure (BuildTable) mapping
 //     keystream-prefix fingerprints back to candidate keys through
 //     distinguished-point chains, the faithful Kraken analogue: one

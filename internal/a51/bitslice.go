@@ -22,9 +22,9 @@ type bsState struct {
 // each bit plane takes its lower neighbour under its mask,
 // r[j] = cur ^ m&(cur^prev). The shift is written out word by word,
 // carrying each loaded word down as the next cur, so every register
-// word is loaded once and stored once per clock; the rolled loop it
-// replaces reloaded both neighbours and was the largest single CPU
-// cost of the campaign.
+// word is loaded once and stored once per clock. This is the hottest
+// function of every bitsliced pass, and the Go compiler does not
+// unroll loops.
 func (s *bsState) clock() {
 	b1, b2, b3 := s.r1[8], s.r2[10], s.r3[10]
 	maj := b1&b2 | b1&b3 | b2&b3
@@ -34,8 +34,7 @@ func (s *bsState) clock() {
 	fb1 := s.r1[18] ^ s.r1[17] ^ s.r1[16] ^ s.r1[13]
 	fb2 := s.r2[21] ^ s.r2[20]
 	fb3 := s.r3[22] ^ s.r3[21] ^ s.r3[20] ^ s.r3[7]
-	var c uint64
-	c = s.r1[18]
+	c := s.r1[18]
 	c, s.r1[18] = s.r1[17], c^m1&(c^s.r1[17])
 	c, s.r1[17] = s.r1[16], c^m1&(c^s.r1[16])
 	c, s.r1[16] = s.r1[15], c^m1&(c^s.r1[15])

@@ -178,8 +178,9 @@ func RecoverKeyParallel(ctx context.Context, keystream []byte, frame uint32, spa
 
 // matches reports whether key reproduces the keystream prefix. It
 // compares bit by bit as the cipher clocks and bails at the first
-// mismatch, so a wrong candidate costs the 186-clock setup plus on
-// average two output clocks — not a full 228-bit burst generation.
+// mismatch, so a wrong candidate costs the setup (eleven table lookups
+// for the key/frame load, then 100 majority clocks) plus on average two
+// output clocks — not a full 228-bit burst generation.
 func matches(key uint64, frame uint32, keystream []byte) bool {
 	nbits := len(keystream) * 8
 	if nbits > BurstBits {

@@ -5,18 +5,22 @@ package a51
 // candidate keys against one frame; radio synthesis has the opposite
 // shape: 64 independent (Kc, COUNT) pairs, one burst each. The
 // population-scale campaign engine encrypts every victim's OTP sessions
-// through here, so one pass of the shared boolean clock replaces 64
-// scalar cipher setups (and skips the 114 uplink clocks the scalar
-// EncryptBurst pays for and throws away).
+// through here: 64 table-driven key/frame loads enter the register
+// planes through one transpose (loadPairs), then one pass of the shared
+// boolean clock replaces 64 scalar ciphers' majority and keystream
+// clocks (and skips the 114 uplink clocks the scalar EncryptBurst pays
+// for and throws away).
 
 // BatchLanes is the number of (Kc, COUNT) pairs one bitsliced encryptor
 // pass carries: one cipher per bit position of a uint64.
 const BatchLanes = bsLanes
 
 // transpose64 transposes a 64×64 bit matrix in place (Hacker's Delight
-// §7-3): element (r, c) is bit (63-c) of a[r]. The encryptor uses it to
-// turn 64 output planes (one word per clock, one lane per bit) into 64
-// per-lane keystream words (one word per lane, one clock per bit).
+// §7-3): element (r, c) is bit (63-c) of a[r]. It converts both ways
+// between per-lane words and bit planes: loadPairs turns 64 packed lane
+// states into the register-bit planes, and the keystream passes turn 64
+// output planes (one word per clock, one lane per bit) into 64 per-lane
+// keystream words (one word per lane, one clock per bit).
 func transpose64(a *[64]uint64) {
 	m := uint64(0x00000000FFFFFFFF)
 	for j := uint(32); j != 0; j >>= 1 {

@@ -150,6 +150,10 @@ type Engine struct {
 	leaks   *socialdb.DB
 	harvest []sync.Once
 
+	// draws are the per-victim radio draw streams, prefixed on the
+	// population seed once per engine.
+	draws victimDraws
+
 	// plans caches compiled attack plans by (policy, platform): a sweep
 	// comparing radio environments under one policy compiles once.
 	planMu sync.Mutex
@@ -205,6 +209,7 @@ func New(cfg Config) (*Engine, error) {
 		space:    a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
 		leaks:    socialdb.New(),
 		harvest:  make([]sync.Once, cfg.Population.NumShards()),
+		draws:    newVictimDraws(uint64(cfg.Population.Seed())),
 		plans:    make(map[planKey]*attackPlan),
 		shardSem: make(chan struct{}, cfg.Workers),
 	}
@@ -666,7 +671,9 @@ func (r *run) runShard(ctx context.Context, i int, net *telecom.Network, scr *sc
 		e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_start", Shard: i, Attempt: attempt})
 		err := e.cfg.Fault.ShardAttempt(i, attempt)
 		if err == nil {
+			genStart := time.Now()
 			sh := pop.Shard(i)
+			r.phases.observe("generate", genStart)
 			part := r.attackShard(sh, net, scr)
 			sh.Release()
 			e.cfg.Trace.Emit(obs.TraceEvent{Event: "shard_done", Shard: i, Attempt: attempt, Subscribers: part.Subscribers})
@@ -765,10 +772,16 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	// (not a swapped flag) makes a concurrent run's worker reaching this
 	// shard block until the insert completes, so its closure-phase
 	// lookups never see a half-harvested shard.
+	//
+	// The harvest phase times the Do call on every run, so a later
+	// scenario's sample is the (near-zero) cost of finding the shard
+	// harvested, or of waiting out a concurrent run's insert.
+	harvestStart := time.Now()
 	e.harvest[sh.Index].Do(func() {
 		scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
 		e.leaks.AddAll(scr.leakRecs)
 	})
+	r.phases.observe("harvest", harvestStart)
 	// Per-shard leak accounting (persona phones are unique, so summing
 	// shard counts equals the merged DB size): the count lands in the
 	// journaled partial, which keeps resumed and multi-process runs
@@ -783,7 +796,7 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	rig := e.rig(net, r.phases.crack())
 	defer e.releaseRig(rig)
 	synthStart := time.Now()
-	seed := uint64(e.cfg.Population.Seed())
+	draws := &e.draws
 	sessions := rt.sessions
 	scr.covered = boolScratch(scr.covered, len(sh.Subscribers))
 	covered := scr.covered
@@ -815,7 +828,7 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		idx := uint64(sub.Index)
 		// The victim's serving channel: covered only when one of the
 		// fleet's receivers camps on it.
-		channel := population.Mix(seed, population.TagCoverage, idx) % rt.channels
+		channel := uint64(draws.coverage.At(idx)) % rt.channels
 		if channel >= rt.receivers {
 			continue // victim's channel outside the rig's fleet
 		}
@@ -826,13 +839,14 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		}
 		scr.phone = sub.AppendIMSI(scr.phone[:0])
 		imsi := slab.StringOf(&scr.strs, scr.phone)
-		mode := rt.mix.Mode(population.Unit(population.Mix(seed, population.TagCipher, idx)))
+		mode := rt.mix.Mode(population.Unit(uint64(draws.cipher.At(idx))))
+		reauth, randDraw := draws.reauth.At(idx), draws.rand.At(idx)
 		epoch := uint64(0)
 		var rnd [16]byte
 		var kc uint64
 		for s := 0; s < sessions; s++ {
 			fresh := s == 0
-			if s > 0 && population.Unit(population.Mix(seed, population.TagReauth, idx, uint64(s))) >= rt.reauthSkip {
+			if s > 0 && population.Unit(uint64(reauth.At(uint64(s)))) >= rt.reauthSkip {
 				epoch++ // operator re-authenticated: fresh RAND, fresh Kc
 				fresh = true
 			}
@@ -840,7 +854,7 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 				// RAND and Kc only change with the auth epoch, so the
 				// SHA-based derivations run once per epoch, not per
 				// session (the values are identical either way).
-				rnd = rand16(population.Mix(seed, population.TagRAND, idx, epoch))
+				rnd = rand16(uint64(randDraw.At(epoch)))
 				kc = telecom.SessionKey(pop.Seed(), imsi, rnd, e.space)
 			}
 			// Schedule the session's paging burst on the next CCCH
@@ -981,6 +995,24 @@ func leakFactorMask(rec socialdb.Record) uint64 {
 		m |= factorBit(ecosys.FactorCitizenID)
 	}
 	return m
+}
+
+// victimDraws are the per-victim radio draw streams, each prefixed on
+// (population seed, tag): the victim's draw is its stream extended by
+// the subscriber index, and the per-session draws extend that by the
+// session index (reauth) or the auth epoch (RAND). They equal
+// population.Mix over the same values, one splitmix per extension.
+type victimDraws struct {
+	coverage, cipher, reauth, rand population.Stream
+}
+
+func newVictimDraws(seed uint64) victimDraws {
+	return victimDraws{
+		coverage: population.NewStream(seed, population.TagCoverage),
+		cipher:   population.NewStream(seed, population.TagCipher),
+		reauth:   population.NewStream(seed, population.TagReauth),
+		rand:     population.NewStream(seed, population.TagRAND),
+	}
 }
 
 // rand16 expands one draw into a RAND challenge.

@@ -321,22 +321,7 @@ func (j *Journal) Due() bool { return j.sinceSnap >= j.every }
 // each intermediate state.
 func (j *Journal) Snapshot(payload []byte) error {
 	snapStart := time.Now()
-	body := make([]byte, 0, 16+len(j.done)/8+len(payload))
-	body = binary.LittleEndian.AppendUint32(body, uint32(j.manifest.NumShards))
-	bitmap := make([]byte, (j.manifest.NumShards+7)/8)
-	for i, d := range j.done {
-		if d {
-			bitmap[i>>3] |= 1 << (uint(i) & 7)
-		}
-	}
-	body = append(body, bitmap...)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(payload)))
-	body = append(body, payload...)
-	full := make([]byte, 0, 8+len(body)+4)
-	full = append(full, snapshotMagic[:]...)
-	full = append(full, body...)
-	full = binary.LittleEndian.AppendUint32(full, crc32.Checksum(body, crcTable))
-
+	full := encodeSnapshot(j.done, payload)
 	tmp := filepath.Join(j.dir, snapshotTemp)
 	if err := j.fault.At(faultinject.PointSnapshotWrite); err != nil {
 		// Die mid-temp-write: a torn temp file, never renamed.
@@ -383,6 +368,24 @@ func (j *Journal) Close() error {
 	err := j.f.Close()
 	j.f = nil
 	return err
+}
+
+// encodeSnapshot encodes a snapshot file: magic | shard count |
+// done-shard bitmap | len(payload) | payload | CRC32C(count..payload).
+func encodeSnapshot(done []bool, payload []byte) []byte {
+	full := make([]byte, 0, 8+4+(len(done)+7)/8+4+len(payload)+4)
+	full = append(full, snapshotMagic[:]...)
+	full = binary.LittleEndian.AppendUint32(full, uint32(len(done)))
+	bitmap := make([]byte, (len(done)+7)/8)
+	for i, d := range done {
+		if d {
+			bitmap[i>>3] |= 1 << (uint(i) & 7)
+		}
+	}
+	full = append(full, bitmap...)
+	full = binary.LittleEndian.AppendUint32(full, uint32(len(payload)))
+	full = append(full, payload...)
+	return binary.LittleEndian.AppendUint32(full, crc32.Checksum(full[len(snapshotMagic):], crcTable))
 }
 
 // appendFrame encodes one journal frame onto buf:

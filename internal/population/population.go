@@ -22,6 +22,14 @@
 // materializes one subscriber in full; it is the reference the compact
 // form is tested against and the form Fingerprint hashes.
 //
+// Every per-subscriber draw is Mix(seed, tag, idx, ...) under its own
+// domain-separation tag. Shard generation reaches those draws through
+// Streams whose (seed, tag) prefix is folded once in New, and compares
+// them against integer thresholds instead of Unit floats: one splitmix
+// and one integer compare per enrolled-service draw. The eager builder
+// keeps the literal unit(mix(...)) < p formulas, so the fingerprint
+// pins the reference, not the fast path.
+//
 // That purity is the invariant every batch≡scalar equivalence test
 // upstream rests on: regenerating a shard yields bit-identical
 // subscribers (Fingerprint pins it, versioned by FingerprintVersion),
@@ -183,6 +191,12 @@ type Population struct {
 	gen      *identity.Generator
 	words    int // enrollment bitset words per subscriber
 	pool     sync.Pool
+
+	// The shard generator's draw streams, prefixed on (seed, tag), and
+	// the thresholds of adoption and LeakFraction they compare against.
+	enroll, leak, leakTier, leakDeep Stream
+	enrollBelow                      []uint64
+	leakBelow                        uint64
 }
 
 // New validates the config and precomputes the per-service adoption
@@ -217,6 +231,16 @@ func New(cfg Config) (*Population, error) {
 		adoption: adoptionRates(cfg.Catalog, cfg.EnrollmentScale),
 	}
 	p.words = (len(p.adoption) + 63) / 64
+	seed := uint64(cfg.Seed)
+	p.enroll = NewStream(seed, tagEnroll)
+	p.leak = NewStream(seed, tagLeak)
+	p.leakTier = NewStream(seed, tagLeakTier)
+	p.leakDeep = NewStream(seed, tagLeakDeep)
+	p.enrollBelow = make([]uint64, len(p.adoption))
+	for j, rate := range p.adoption {
+		p.enrollBelow[j] = threshold(rate)
+	}
+	p.leakBelow = threshold(cfg.LeakFraction)
 	p.pool.New = func() any { return &Shard{owner: p} }
 	for _, svc := range cfg.Catalog.Services() {
 		p.services = append(p.services, svc.Name)
@@ -294,10 +318,11 @@ func (p *Population) fill(sh *Shard, i int) {
 			Index: idx,
 			Ref:   p.gen.Ref(idx),
 		}
-		sub.Enrolled = p.enrollmentInto(&sh.enroll, idx)
-		if p.leaked(idx) {
+		sub.Enrolled = ServiceSet(sh.enroll.Grab(p.words))
+		p.fillEnrollment(sub.Enrolled, idx)
+		if c := p.leakClass(idx); c != LeakNone {
 			sub.Leaked = true
-			sub.Class = p.leakClass(idx)
+			sub.Class = c
 			sh.LeakCount++
 		}
 	}
@@ -309,21 +334,47 @@ func (p *Population) fill(sh *Shard, i int) {
 // form Fingerprint hashes. Pure function of (seed, idx).
 func (p *Population) reference(idx int) (imsi string, persona identity.Persona, rec *socialdb.Record) {
 	persona = p.gen.Ref(idx).Persona()
-	if p.leaked(idx) {
-		r := p.leakRecord(idx, persona)
+	if c := p.referenceLeakClass(idx); c != LeakNone {
+		r := p.leakRecord(idx, c, persona)
 		rec = &r
 	}
 	return IMSIFor(idx), persona, rec
 }
 
-// leaked draws whether subscriber idx appears in the leak databases.
-func (p *Population) leaked(idx int) bool {
-	return unit(mix(uint64(p.cfg.Seed), tagLeak, uint64(idx))) < p.cfg.LeakFraction
+// breachShare is the share of leaked subscribers whose row comes from
+// the full breach dump rather than a phishing-WiFi harvest.
+const breachShare = 0.75
+
+// citizenIDShare is the share of breach rows that carry the citizen ID.
+const citizenIDShare = 0.40
+
+// The tier and citizen-ID thresholds shard generation and harvest use.
+var (
+	breachBelow    = threshold(breachShare)
+	citizenIDBelow = threshold(citizenIDShare)
+)
+
+// leakClass draws whether subscriber idx appears in the leak databases
+// and, if so, its source tier, through the prefixed streams.
+func (p *Population) leakClass(idx int) LeakClass {
+	i := uint64(idx)
+	switch {
+	case !p.leak.At(i).below(p.leakBelow):
+		return LeakNone
+	case p.leakTier.At(i).below(breachBelow):
+		return LeakBreach
+	}
+	return LeakWiFi
 }
 
-// leakClass draws the source tier of a leaked subscriber.
-func (p *Population) leakClass(idx int) LeakClass {
-	if unit(mix(uint64(p.cfg.Seed), tagLeakTier, uint64(idx))) < 0.75 {
+// referenceLeakClass is leakClass by the literal per-draw formula, the
+// oracle the eager builder and Fingerprint use.
+func (p *Population) referenceLeakClass(idx int) LeakClass {
+	seed := uint64(p.cfg.Seed)
+	switch {
+	case !(unit(mix(seed, tagLeak, uint64(idx))) < p.cfg.LeakFraction):
+		return LeakNone
+	case unit(mix(seed, tagLeakTier, uint64(idx))) < breachShare:
 		return LeakBreach
 	}
 	return LeakWiFi
@@ -357,19 +408,34 @@ func AppendIMSI(b []byte, idx int) []byte {
 	return b
 }
 
-// enrollmentInto draws the service set into a carve of the shard's
-// arena.
-func (p *Population) enrollmentInto(arena *slab.Slab[uint64], idx int) ServiceSet {
-	set := ServiceSet(arena.Grab(p.words))
-	clear(set)
-	p.fillEnrollment(set, idx)
-	return set
+// fillEnrollment overwrites set (p.words words) with the subscriber's
+// service set: one independent, index-keyed draw per service, so the
+// profile is order-independent and shards need no coordination. Each
+// draw is one splitmix off the subscriber's enrollment prefix,
+// compared against the service's threshold without a branch: both
+// sides are at most 2⁵³, so h>>11 < t exactly when h>>11 - t wraps and
+// sets the top bit. Bit-identical to referenceEnrollment.
+func (p *Population) fillEnrollment(set ServiceSet, idx int) {
+	s := p.enroll.At(uint64(idx))
+	var word uint64
+	for j, t := range p.enrollBelow {
+		h := uint64(s.At(uint64(j)))
+		word |= ((h>>11 - t) >> 63) << (uint(j) & 63)
+		if j&63 == 63 {
+			set[j>>6] = word
+			word = 0
+		}
+	}
+	if n := len(p.enrollBelow); n&63 != 0 {
+		set[n>>6] = word
+	}
 }
 
-// fillEnrollment draws the subscriber's service set: one independent,
-// index-keyed draw per service, so the profile is order-independent
-// and shards need no coordination.
-func (p *Population) fillEnrollment(set ServiceSet, idx int) {
+// referenceEnrollment ORs the subscriber's service set into set by the
+// literal per-service formula unit(mix(seed, tagEnroll, idx, j)) < rate:
+// the oracle fillEnrollment is tested against and the form Fingerprint
+// hashes.
+func (p *Population) referenceEnrollment(set ServiceSet, idx int) {
 	seed := uint64(p.cfg.Seed)
 	for j, rate := range p.adoption {
 		if unit(mix(seed, tagEnroll, uint64(idx), uint64(j))) < rate {
@@ -378,17 +444,18 @@ func (p *Population) fillEnrollment(set ServiceSet, idx int) {
 	}
 }
 
-// leakRecord builds the attacker-visible dump entry. Two tiers mirror
-// §V.A.1's sources: full breach rows (name and address, sometimes the
-// citizen ID) and phishing-WiFi harvests (phone number only).
-func (p *Population) leakRecord(idx int, persona identity.Persona) socialdb.Record {
+// leakRecord builds the attacker-visible dump entry of a subscriber of
+// leak class c by the literal draw formulas. Two tiers mirror §V.A.1's
+// sources: full breach rows (name and address, sometimes the citizen
+// ID) and phishing-WiFi harvests (phone number only).
+func (p *Population) leakRecord(idx int, c LeakClass, persona identity.Persona) socialdb.Record {
 	seed := uint64(p.cfg.Seed)
 	rec := socialdb.Record{Phone: persona.Phone}
-	if p.leakClass(idx) == LeakBreach {
+	if c == LeakBreach {
 		rec.Source = SourceBreach
 		rec.RealName = persona.RealName
 		rec.Address = persona.Address
-		if unit(mix(seed, tagLeakDeep, uint64(idx))) < 0.40 {
+		if unit(mix(seed, tagLeakDeep, uint64(idx))) < citizenIDShare {
 			rec.CitizenID = persona.CitizenID
 		}
 	} else {
@@ -407,7 +474,6 @@ func (p *Population) leakRecord(idx int, persona identity.Persona) socialdb.Reco
 // (campaign harvest uses a grow-only per-worker arena), and tmp is a
 // reusable scratch buffer (may be nil).
 func (p *Population) AppendLeakRecords(dst []socialdb.Record, sh *Shard, arena *slab.Slab[byte], tmp []byte) ([]socialdb.Record, []byte) {
-	seed := uint64(p.cfg.Seed)
 	for i := range sh.Subscribers {
 		sub := &sh.Subscribers[i]
 		if !sub.Leaked {
@@ -421,7 +487,7 @@ func (p *Population) AppendLeakRecords(dst []socialdb.Record, sh *Shard, arena *
 			rec.RealName = sub.Ref.RealName()
 			tmp = sub.Ref.AppendAddress(tmp[:0])
 			rec.Address = slab.StringOf(arena, tmp)
-			if unit(mix(seed, tagLeakDeep, uint64(sub.Index))) < 0.40 {
+			if p.leakDeep.At(uint64(sub.Index)).below(citizenIDBelow) {
 				tmp = sub.Ref.AppendCitizenID(tmp[:0])
 				rec.CitizenID = slab.StringOf(arena, tmp)
 			}
@@ -521,7 +587,7 @@ func (p *Population) Fingerprint() uint64 {
 	for idx := 0; idx < p.cfg.Size; idx++ {
 		imsi, persona, rec := p.reference(idx)
 		clear(enrolled)
-		p.fillEnrollment(enrolled, idx)
+		p.referenceEnrollment(enrolled, idx)
 		buf = appendSubscriber(buf[:0], idx, imsi, &persona, enrolled, rec)
 		_, _ = h.Write(buf)
 	}

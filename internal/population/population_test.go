@@ -186,7 +186,7 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 				t.Fatalf("sub %d: Leaked=%v Class=%d, reference record %+v", sub.Index, sub.Leaked, sub.Class, rec)
 			}
 			enrolled := make(ServiceSet, len(sub.Enrolled))
-			p.fillEnrollment(enrolled, sub.Index)
+			p.referenceEnrollment(enrolled, sub.Index)
 			if !reflect.DeepEqual(sub.Enrolled, enrolled) {
 				t.Fatalf("sub %d: enrollment mismatch", sub.Index)
 			}

@@ -87,7 +87,8 @@ func New(cat *Catalog, ap AttackerProfile) (*Engine, error) {
 }
 
 // DefaultCatalog returns the calibrated 201-service ecosystem whose
-// marginal statistics match the paper's measurement (see DESIGN.md).
+// marginal statistics match the paper's measurement (see
+// "Substitutions" in docs/ARCHITECTURE.md).
 func DefaultCatalog() (*Catalog, error) {
 	return dataset.Default()
 }

@@ -1,5 +1,5 @@
-// Benchmark harness: one benchmark per paper table/figure (the
-// experiment IDs match DESIGN.md §4 and EXPERIMENTS.md). Run with
+// Benchmark harness: one benchmark per paper table/figure (E1–E15
+// name the experiment each one reproduces). Run with
 //
 //	go test -bench=. -benchmem .
 package actfort_test
@@ -457,7 +457,7 @@ func BenchmarkScenarioSweep(b *testing.B) {
 	}
 }
 
-// Ablation: couple-size 2 vs 3 in TDG construction (DESIGN.md §5).
+// Ablation: couple-size 2 vs 3 in TDG construction.
 func BenchmarkAblationCoupleSize(b *testing.B) {
 	cat := dataset.MustDefault()
 	nodes := tdg.NodesFromCatalog(cat)
@@ -475,11 +475,11 @@ func BenchmarkAblationCoupleSize(b *testing.B) {
 }
 
 // Ablation: A5/1 crack cost vs key-space size × search backend (the
-// rainbow-table stand-in, DESIGN.md §5). "seed" is the original
-// exhaustive search (full 228-bit burst generated per candidate);
-// "table" measures the amortized post-build lookup cost, with the
-// one-off precomputation excluded from the timer exactly as the real
-// attack excludes the Kraken table download.
+// rainbow-table stand-in; see "Substitutions" in docs/ARCHITECTURE.md).
+// "seed" is the original exhaustive search (full 228-bit burst
+// generated per candidate); "table" measures the amortized post-build
+// lookup cost, with the one-off precomputation excluded from the
+// timer exactly as the real attack excludes the Kraken table download.
 func BenchmarkAblationCrackKeyspace(b *testing.B) {
 	const frame = 7
 	for _, bits := range []int{8, 12, 16} {

@@ -1,7 +1,8 @@
 package actfort_test
 
 // The documentation gate CI's docs job runs: a markdown link check
-// over the README and docs tree, and an exported-identifier
+// over the README and docs tree, a check that every markdown file a Go
+// comment names exists, and an exported-identifier
 // doc-comment check (the revive `exported` rule, implemented with
 // go/parser so the repo needs no extra tooling) over the packages the
 // documentation layer covers. Both run under plain `go test`, so a
@@ -58,6 +59,56 @@ func TestDocsLinksResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mdRef matches a markdown file name, with or without a directory, in
+// a Go comment.
+var mdRef = regexp.MustCompile(`[\w./-]*[\w-]\.md\b`)
+
+// TestDocsCommentReferencesResolve fails on any Go comment in the
+// repository that names a markdown file which does not exist, either
+// from the repository root or from the commenting file's directory.
+func TestDocsCommentReferencesResolve(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, cg := range f.Comments {
+			for _, ref := range mdRef.FindAllString(cg.Text(), -1) {
+				if fileExists(ref) || fileExists(filepath.Join(filepath.Dir(path), ref)) {
+					continue
+				}
+				t.Errorf("%s: comment names %s, which does not exist", path, ref)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no Go files found")
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // documentedPackages are the directories held to the

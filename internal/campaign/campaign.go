@@ -10,10 +10,7 @@
 //
 //   - the population is sharded; a bounded worker pool streams shards,
 //     so subscriber state (personas, enrollments, radio sessions) is
-//     O(shard). The one population-proportional structure is the
-//     attacker's merged leak database — the artifact the paper's
-//     attacker actually accumulates — which grows with the leaked
-//     fraction only (string headers over shard-owned bytes);
+//     O(shard) and nothing grows with the population;
 //   - every worker synthesizes each victim's OTP radio sessions with
 //     the same burst encoder the live Network uses and feeds them to a
 //     per-shard passive sniffer rig — batched sniffer sessions;
@@ -23,12 +20,14 @@
 //     bounded by the worker budget, and are reused between shards and
 //     between scenarios — including concurrent scenarios mixing radio
 //     environments;
-//   - harvested leak records live in one sharded socialdb hit by every
-//     worker concurrently;
-//   - per-victim chain reactions are evaluated against a precompiled
-//     Transformation Dependency Graph plan (integer tables, no
-//     per-victim graph builds); each scenario compiles its own plan
-//     from its policy-fortified catalog, cached by (policy, platform);
+//   - the chain reaction runs 64 intercepted victims at a time, one
+//     per bit of a uint64 lane word, as a layered fixpoint over a
+//     precompiled Transformation Dependency Graph plan (integer
+//     tables, no per-victim graph builds); each scenario compiles its
+//     own plan from its policy-fortified catalog, cached by (policy,
+//     platform). What a victim's entry in the attacker's leak
+//     databases (§V.A.1) supplies comes from the population's draw
+//     streams (population.Dossier), so no leak store is built;
 //   - metrics stream to a single aggregator as per-shard partial
 //     summaries and render through internal/report.
 //
@@ -37,7 +36,7 @@
 // or checkpoint boundaries. Committed golden digests pin it; the
 // 64-lane batch radio synthesis and batched TMTO chain replay are held
 // against their scalar reference oracles in the telecom, sniffer and
-// a51 packages.
+// a51 packages, and the lane closure against strategy.AccountDepths.
 package campaign
 
 import (
@@ -45,7 +44,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,14 +51,12 @@ import (
 
 	"github.com/actfort/actfort/internal/a51"
 	"github.com/actfort/actfort/internal/countermeasure"
-	"github.com/actfort/actfort/internal/ecosys"
 	"github.com/actfort/actfort/internal/faultinject"
 	"github.com/actfort/actfort/internal/gsmcodec"
 	"github.com/actfort/actfort/internal/obs"
 	"github.com/actfort/actfort/internal/population"
 	"github.com/actfort/actfort/internal/slab"
 	"github.com/actfort/actfort/internal/sniffer"
-	"github.com/actfort/actfort/internal/socialdb"
 	"github.com/actfort/actfort/internal/telecom"
 )
 
@@ -130,26 +126,14 @@ type Config struct {
 // Engine is the resident core: the shared resources every scenario —
 // sequential or concurrent — draws on. Everything here is either
 // immutable after New (population, cracker table, key space) or
-// guarded for concurrent use (plan cache, leak DB, rig pool, shard
-// budget), so RunScenario is safe to call from multiple goroutines at
-// once; all per-run state lives in the run type. Build with New,
-// execute one scenario with Run/RunScenario or a comparative list with
-// RunSweep.
+// guarded for concurrent use (plan cache, rig pool, shard budget), so
+// RunScenario is safe to call from multiple goroutines at once; all
+// per-run state lives in the run type. Build with New, execute one
+// scenario with Run/RunScenario or a comparative list with RunSweep.
 type Engine struct {
 	cfg     Config
 	space   a51.KeySpace
 	cracker a51.Cracker
-	// leaks is the attacker's merged leak database, assembled during
-	// the harvest phase and hit concurrently by every attack worker.
-	// It persists across sweep scenarios: the records are population
-	// facts, independent of any scenario knob. harvest gates each
-	// shard's merge behind a sync.Once, so later scenarios skip the
-	// redundant rewrite — and a concurrent scenario reaching the shard
-	// first blocks until the insert completes instead of racing past a
-	// half-set flag into lookups over missing records.
-	leaks   *socialdb.DB
-	harvest []sync.Once
-
 	// draws are the per-victim radio draw streams, prefixed on the
 	// population seed once per engine.
 	draws victimDraws
@@ -207,8 +191,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		space:    a51.KeySpace{Base: 0xC118000000000000, Bits: cfg.KeyBits},
-		leaks:    socialdb.New(),
-		harvest:  make([]sync.Once, cfg.Population.NumShards()),
 		draws:    newVictimDraws(uint64(cfg.Population.Seed())),
 		plans:    make(map[planKey]*attackPlan),
 		shardSem: make(chan struct{}, cfg.Workers),
@@ -250,9 +232,6 @@ func New(cfg Config) (*Engine, error) {
 // Cracker exposes the shared backend (benchmarks and the CLI report
 // its name).
 func (e *Engine) Cracker() a51.Cracker { return e.cracker }
-
-// LeakDB exposes the merged leak database after Run.
-func (e *Engine) LeakDB() *socialdb.DB { return e.leaks }
 
 // RigsBuilt reports how many sniffer rigs the engine has constructed.
 // Sweep tests pin rig reuse with it: scenarios sharing a radio
@@ -334,9 +313,8 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 	return e.RunScenario(ctx, e.cfg.Scenario)
 }
 
-// RunScenario executes one scenario: harvest the leak databases, then
-// attack every owned shard through the worker pool, streaming partial
-// summaries into one aggregate. The returned Summary is deterministic
+// RunScenario executes one scenario: attack every owned shard through
+// the worker pool, streaming partial summaries into one aggregate. The returned Summary is deterministic
 // for a fixed config apart from Duration/VictimsPerSec — including
 // across kill-and-resume boundaries when a Checkpoint is configured.
 // RunScenario is safe to call concurrently: each call builds its own
@@ -747,8 +725,9 @@ const baseARFCN = 512
 // (the per-victim draws and COUNT schedule are identical to the former
 // encode-as-you-go path), encrypt the gathered A5/1 sessions in
 // 64-lane bitsliced blocks, feed the bursts to a pooled sniffer rig
-// backed by the shared cracker, then evaluate the chain reaction for
-// each intercepted victim against the scenario's compiled plan.
+// backed by the shared cracker, then evaluate the chain reaction of
+// the intercepted victims, 64 lanes at a time, against the scenario's
+// compiled plan.
 func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scratch) *Summary {
 	e, rt, plan := r.e, r.rt, r.plan
 	pop := e.cfg.Population
@@ -758,34 +737,10 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 		metPopBytesPerSub.Set(float64(sh.MemBytes() / n))
 	}
 
-	// Harvest first: land this shard's leaked records in the global
-	// attacker database (§V.A.1's "existing illegal databases"). A
-	// victim's dossier lives in their own shard, so harvesting here
-	// keeps lookups correct while every other worker's inserts and
-	// lookups hit the same sharded store concurrently. The leak DB is a
-	// population fact, not a scenario artifact, so each shard harvests
-	// exactly once per engine and later sweep scenarios skip the
-	// rewrite. The records are rebuilt from the draw streams into the
-	// worker's pooled record buffer, their strings carved from the
-	// worker's durable arena (never reset — the global DB retains them
-	// for the engine's lifetime), and bulk-inserted. The sync.Once gate
-	// (not a swapped flag) makes a concurrent run's worker reaching this
-	// shard block until the insert completes, so its closure-phase
-	// lookups never see a half-harvested shard.
-	//
-	// The harvest phase times the Do call on every run, so a later
-	// scenario's sample is the (near-zero) cost of finding the shard
-	// harvested, or of waiting out a concurrent run's insert.
-	harvestStart := time.Now()
-	e.harvest[sh.Index].Do(func() {
-		scr.leakRecs, scr.phone = pop.AppendLeakRecords(scr.leakRecs[:0], sh, &scr.durable, scr.phone)
-		e.leaks.AddAll(scr.leakRecs)
-	})
-	r.phases.observe("harvest", harvestStart)
 	// Per-shard leak accounting (persona phones are unique, so summing
-	// shard counts equals the merged DB size): the count lands in the
-	// journaled partial, which keeps resumed and multi-process runs
-	// exact — a global e.leaks.Len() would miss skipped shards.
+	// shard counts equals the size of the merged leak databases): the
+	// count lands in the journaled partial, which keeps resumed and
+	// multi-process runs exact.
 	part.LeakRecords = int64(sh.LeakCount)
 
 	// Per-shard IMSI strings are carved from the shard-cycle arena:
@@ -917,84 +872,29 @@ func (r *run) attackShard(sh *population.Shard, net *telecom.Network, scr *scrat
 	}
 	part.Sniffer.Add(rig.Stats())
 
-	// Chain-reaction phase: evaluate every intercepted victim.
+	// Chain-reaction phase: the intercepted victims, 64 to a lane
+	// group, each lane knowing up front what the victim's dossier in
+	// the attacker's leak databases (§V.A.1) supplies.
+	g := &scr.lanes
 	for li := range sh.Subscribers {
 		if !covered[li] || !intercepted[li] {
 			continue
 		}
 		sub := &sh.Subscribers[li]
 		part.Intercepted++
-		know := plan.baseline
-		// The dossier probe derives the victim's phone into the worker's
-		// scratch buffer and hits the sharded store via the raw-bytes
-		// lookup — no key string is ever built on the closure path.
-		scr.phone = sub.Ref.AppendPhone(scr.phone[:0])
-		if rec, err := e.leaks.LookupBytes(scr.phone); err == nil {
+		if sub.Leaked {
 			part.DossierHits++
-			know |= leakFactorMask(rec)
 		}
-		plan.chainDepths(scr, sub.Enrolled, know)
-		accumulate(plan, scr, part)
-		scr.reset()
+		plan.addLane(g, sub.Enrolled, plan.know[pop.Dossier(sub)])
+		if g.n == 64 {
+			plan.closeGroup(g, part)
+		}
+	}
+	if g.n > 0 {
+		plan.closeGroup(g, part)
 	}
 	r.phases.observe("closure", closureStart)
 	return part
-}
-
-// accumulate folds one victim's chain-reaction outcome into the
-// partial summary.
-func accumulate(plan *attackPlan, scr *scratch, part *Summary) {
-	taken := int64(0)
-	maxDepth := 0
-	var fields uint32
-	for _, a := range scr.active {
-		d := int(scr.depth[a])
-		if d == 0 {
-			continue
-		}
-		taken++
-		if d > MaxDepth {
-			d = MaxDepth
-		}
-		if d > maxDepth {
-			maxDepth = d
-		}
-		part.AccountsByDepth[d]++
-		part.ServiceTakeovers[plan.svcIdx[a]]++
-		fields |= plan.exposes[a]
-	}
-	if taken == 0 {
-		part.HarvestHist[0]++
-		return
-	}
-	part.VictimsCompromised++
-	part.AccountsCompromised += taken
-	part.VictimsByMaxDepth[maxDepth]++
-	n := bits.OnesCount32(fields)
-	if n >= len(part.HarvestHist) {
-		n = len(part.HarvestHist) - 1
-	}
-	part.HarvestHist[n]++
-	for f := 1; f < len(part.FieldTotals); f++ {
-		if fields>>uint(f)&1 == 1 {
-			part.FieldTotals[f]++
-		}
-	}
-}
-
-// leakFactorMask maps a leak record's fields to credential factors.
-func leakFactorMask(rec socialdb.Record) uint64 {
-	var m uint64
-	if rec.RealName != "" {
-		m |= factorBit(ecosys.FactorRealName)
-	}
-	if rec.Address != "" {
-		m |= factorBit(ecosys.FactorAddress)
-	}
-	if rec.CitizenID != "" {
-		m |= factorBit(ecosys.FactorCitizenID)
-	}
-	return m
 }
 
 // victimDraws are the per-victim radio draw streams, each prefixed on

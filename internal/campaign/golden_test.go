@@ -89,33 +89,43 @@ func readGolden(t *testing.T) map[string]string {
 // table and bitsliced backends and compares each scenario's Summary
 // digest with the committed one. There is deliberately no update flag:
 // a mismatch prints the new digest, and replacing a golden is a
-// reviewed edit of the testdata file.
+// reviewed edit of the testdata file. Each backend builds one engine
+// (one cracker) over the one shared population, and its scenario lines
+// run as parallel subtests — concurrent RunScenario calls, which the
+// engine's shared shard budget serializes into the same Workers slots.
 func TestGoldenSummaries(t *testing.T) {
 	want := readGolden(t)
 	pop := testPop(t, 20000, 2048)
+	scenarios := make([]Scenario, 0, len(goldenScenarios)+len(goldenLiterals))
+	for _, name := range goldenScenarios {
+		sc, ok := BuiltinScenario(name)
+		if !ok {
+			t.Fatalf("scenario %q missing from the builtin shelf", name)
+		}
+		scenarios = append(scenarios, sc)
+	}
+	scenarios = append(scenarios, goldenLiterals...)
 	for _, backend := range []string{"table", "bitsliced"} {
-		eng, err := New(Config{Population: pop, KeyBits: 12, Workers: 2, Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scenarios := make([]Scenario, 0, len(goldenScenarios)+len(goldenLiterals))
-		for _, name := range goldenScenarios {
-			sc, ok := BuiltinScenario(name)
-			if !ok {
-				t.Fatalf("scenario %q missing from the builtin shelf", name)
-			}
-			scenarios = append(scenarios, sc)
-		}
-		for _, sc := range append(scenarios, goldenLiterals...) {
-			sum, err := eng.RunScenario(context.Background(), sc)
+		t.Run(backend, func(t *testing.T) {
+			t.Parallel()
+			eng, err := New(Config{Population: pop, KeyBits: 12, Workers: 2, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := backend + "/" + sc.Name
-			got := summaryDigest(t, sum)
-			if want[key] != got {
-				t.Errorf("%s: summary digest %s, golden %q\n  new line: %s %s", key, got, want[key], key, got)
+			for _, sc := range scenarios {
+				t.Run(sc.Name, func(t *testing.T) {
+					t.Parallel()
+					sum, err := eng.RunScenario(context.Background(), sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := backend + "/" + sc.Name
+					got := summaryDigest(t, sum)
+					if want[key] != got {
+						t.Errorf("%s: summary digest %s, golden %q\n  new line: %s %s", key, got, want[key], key, got)
+					}
+				})
 			}
-		}
+		})
 	}
 }

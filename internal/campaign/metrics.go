@@ -50,16 +50,16 @@ var (
 )
 
 // phaseNames are the per-shard stages the campaign_phase_seconds
-// histogram labels: shard generation, the leak harvest, the
-// attackShard stages, and "aggregate", the aggregator's merge+journal
-// work per shard. The crack stage lives in the sniffer
-// (sniffer_crack_batch_seconds): key recovery happens inside feed.
-var phaseNames = []string{"generate", "harvest", "synth", "encrypt", "feed", "closure", "aggregate"}
+// histogram labels: shard generation, the attackShard stages, and
+// "aggregate", the aggregator's merge+journal work per shard. The
+// crack stage lives in the sniffer (sniffer_crack_batch_seconds): key
+// recovery happens inside feed.
+var phaseNames = []string{"generate", "synth", "encrypt", "feed", "closure", "aggregate"}
 
 // phaseOrder is the fixed presentation order of Summary.PhaseTimings:
 // the per-shard stages in execution order, with the sniffer's crack
 // stage (which runs inside feed) slotted after it.
-var phaseOrder = []string{"generate", "harvest", "synth", "encrypt", "feed", "crack", "closure", "aggregate"}
+var phaseOrder = []string{"generate", "synth", "encrypt", "feed", "crack", "closure", "aggregate"}
 
 // phaseHists resolves one histogram handle per phase, in phaseNames
 // order. These are the process-lifetime series /metrics scrapes; they
@@ -68,7 +68,7 @@ var phaseHists = func() map[string]*obs.Histogram {
 	m := make(map[string]*obs.Histogram, len(phaseNames))
 	for _, p := range phaseNames {
 		m[p] = obs.Default.NewHistogram("campaign_phase_seconds",
-			"Per-shard wall time of each pipeline phase (generate=population shard, harvest=leak-DB insert, synth=gather, encrypt=batch cipher, feed=rig ingest incl. cracks, closure=chain reactions, aggregate=merge+journal).",
+			"Per-shard wall time of each pipeline phase (generate=population shard, synth=gather, encrypt=batch cipher, feed=rig ingest incl. cracks, closure=chain reactions, aggregate=merge+journal).",
 			obs.LatencyBuckets, obs.L("phase", p))
 	}
 	return m

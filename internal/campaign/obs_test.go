@@ -49,7 +49,7 @@ func TestCampaignSummaryUnchangedByInstrumentation(t *testing.T) {
 func TestCampaignPhaseTimings(t *testing.T) {
 	pop := testPop(t, 2048, 256) // 8 shards
 	sum := runCampaign(t, Config{Population: pop, KeyBits: 10, Workers: 2})
-	want := []string{"generate", "harvest", "synth", "encrypt", "feed", "crack", "closure", "aggregate"}
+	want := []string{"generate", "synth", "encrypt", "feed", "crack", "closure", "aggregate"}
 	var got []string
 	for _, p := range sum.PhaseTimings {
 		got = append(got, p.Phase)
@@ -69,7 +69,7 @@ func TestCampaignPhaseTimings(t *testing.T) {
 	// Per-shard phases observe once per shard.
 	for _, p := range sum.PhaseTimings {
 		switch p.Phase {
-		case "generate", "harvest", "synth":
+		case "generate", "synth":
 			if p.Count != 8 {
 				t.Errorf("%s count = %d, want one per shard", p.Phase, p.Count)
 			}

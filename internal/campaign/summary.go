@@ -312,7 +312,7 @@ func (s *Summary) topServices(services []string, top int) *report.Table {
 	}
 	t := &report.Table{
 		Title:   fmt.Sprintf("Top %d services by account takeovers", len(rows)),
-		Headers: []string{"rank", "service", "takeovers", "per intercepted victim"},
+		Headers: []string{"rank", "service", "takeovers", "accounts per intercepted victim"},
 	}
 	for i, r := range rows {
 		t.AddRow(strconv.Itoa(i+1), r.name, comma(r.count), report.Pct(pct(r.count, s.Intercepted)))

@@ -1,9 +1,9 @@
 // Package dataset builds the calibrated synthetic service catalog that
 // stands in for the paper's 201 hand-probed Alexa services (see
-// DESIGN.md's substitution table). The catalog is deterministic and
-// quota-driven: 201 services, 187 web presences and 56 mobile
-// presences whose marginal statistics are constructed to match the
-// published measurement — Table I exposure counts exactly, 405
+// "Substitutions" in docs/ARCHITECTURE.md). The catalog is
+// deterministic and quota-driven: 201 services, 187 web presences and
+// 56 mobile presences whose marginal statistics are constructed to
+// match the published measurement — Table I exposure counts exactly, 405
 // authentication paths (208 web / 197 mobile) exactly, and the
 // dependency-depth shape (≈74% / ≈75% directly compromisable, a
 // middle-layer tail, a few percent unreachable) by construction.
@@ -269,8 +269,7 @@ type servicePlan struct {
 	mobile *presencePlan
 }
 
-// Platform quota tables (see the derivation in DESIGN.md §4 and
-// EXPERIMENTS.md): counts of presences per template.
+// Platform quota tables: counts of presences per template.
 var webTemplateQuota = map[templateKind]int{
 	tDirectSigninSMS: 55,
 	tDirectResetSMS:  75,

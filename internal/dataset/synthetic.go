@@ -9,8 +9,10 @@ import (
 
 // Synthetic generates a catalog of n services whose template and
 // exposure mix follows the calibrated proportions, for scaling
-// experiments (E15). Unlike Default, counts are proportional rather
-// than exact, and the output depends on the seed.
+// experiments (E15), plus the three syn-mail-* providers their email
+// paths point at: the catalog holds n+3 services. Unlike Default,
+// counts are proportional rather than exact, and the output depends
+// on the seed.
 func Synthetic(n int, seed int64) (*ecosys.Catalog, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: synthetic size %d <= 0", n)

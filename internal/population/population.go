@@ -15,8 +15,9 @@
 // leak flags — no persona strings, no per-subscriber leak records, no
 // shard-local leak store. Attribute bytes (IMSI, phone, name, address)
 // derive on demand from the Ref's draw stream exactly when a consumer
-// touches them, and AppendLeakRecords rebuilds the attacker-visible
-// dump rows from the same streams when the campaign harvests a shard.
+// touches them. AppendLeakRecords rebuilds the attacker-visible dump
+// rows from the same streams, and Dossier says which fields a row
+// carries without building it (what the campaign's closure reads).
 // Shards recycle through a pool (Release), so steady-state streaming
 // allocates nothing per subscriber. An unexported eager builder
 // materializes one subscriber in full; it is the reference the compact
@@ -348,7 +349,7 @@ const breachShare = 0.75
 // citizenIDShare is the share of breach rows that carry the citizen ID.
 const citizenIDShare = 0.40
 
-// The tier and citizen-ID thresholds shard generation and harvest use.
+// The tier and citizen-ID thresholds shard generation and Dossier use.
 var (
 	breachBelow    = threshold(breachShare)
 	citizenIDBelow = threshold(citizenIDShare)
@@ -464,15 +465,67 @@ func (p *Population) leakRecord(idx int, c LeakClass, persona identity.Persona) 
 	return rec
 }
 
+// Dossier is what the attacker's leak databases hold on one
+// subscriber: which fields of the persona its leak record carries. It
+// is the compact stand-in for building the record and looking it up.
+type Dossier uint8
+
+const (
+	// DossierNone: the subscriber is in no leak database.
+	DossierNone Dossier = iota
+	// DossierWiFi: a phishing-WiFi harvest, the phone number only.
+	DossierWiFi
+	// DossierBreach: a breach row with phone, real name and address.
+	DossierBreach
+	// DossierBreachCitizenID: a breach row that also has the citizen ID.
+	DossierBreachCitizenID
+
+	// NumDossiers is the number of Dossier values.
+	NumDossiers
+)
+
+// dossierFields lists each dossier's record fields.
+var dossierFields = [NumDossiers][]ecosys.InfoField{
+	DossierWiFi:            {ecosys.InfoCellphone},
+	DossierBreach:          {ecosys.InfoCellphone, ecosys.InfoRealName, ecosys.InfoAddress},
+	DossierBreachCitizenID: {ecosys.InfoCellphone, ecosys.InfoRealName, ecosys.InfoAddress, ecosys.InfoCitizenID},
+}
+
+// Fields lists the persona fields the dossier's leak record carries
+// (none for DossierNone). Callers must not mutate the returned slice.
+func (d Dossier) Fields() []ecosys.InfoField { return dossierFields[d] }
+
+// Dossier returns sub's dossier from its leak class and, for the
+// breach tier, the prefixed citizen-ID draw: exactly the non-empty
+// fields of the record AppendLeakRecords rebuilds for sub, with no
+// record built and no database probed.
+func (p *Population) Dossier(sub *Subscriber) Dossier {
+	switch sub.Class {
+	case LeakWiFi:
+		return DossierWiFi
+	case LeakBreach:
+		if p.citizenIDLeaked(sub.Index) {
+			return DossierBreachCitizenID
+		}
+		return DossierBreach
+	}
+	return DossierNone
+}
+
+// citizenIDLeaked draws whether breach-tier subscriber idx's row
+// carries the citizen ID, through the prefixed stream.
+func (p *Population) citizenIDLeaked(idx int) bool {
+	return p.leakDeep.At(uint64(idx)).below(citizenIDBelow)
+}
+
 // AppendLeakRecords derives the leak-database rows of every leaked
 // subscriber in sh and appends them to dst, byte-identical record for
 // record to the reference builder's.
 // Variable-length string fields (phone, address, citizen ID) are
 // carved from arena; names and source labels resolve to interned
 // vocabulary strings. The records are built to outlive the shard:
-// arena must never be Reset while any returned record is retained
-// (campaign harvest uses a grow-only per-worker arena), and tmp is a
-// reusable scratch buffer (may be nil).
+// arena must never be Reset while any returned record is retained,
+// and tmp is a reusable scratch buffer (may be nil).
 func (p *Population) AppendLeakRecords(dst []socialdb.Record, sh *Shard, arena *slab.Slab[byte], tmp []byte) ([]socialdb.Record, []byte) {
 	for i := range sh.Subscribers {
 		sub := &sh.Subscribers[i]
@@ -487,7 +540,7 @@ func (p *Population) AppendLeakRecords(dst []socialdb.Record, sh *Shard, arena *
 			rec.RealName = sub.Ref.RealName()
 			tmp = sub.Ref.AppendAddress(tmp[:0])
 			rec.Address = slab.StringOf(arena, tmp)
-			if p.leakDeep.At(uint64(sub.Index)).below(citizenIDBelow) {
+			if p.citizenIDLeaked(sub.Index) {
 				tmp = sub.Ref.AppendCitizenID(tmp[:0])
 				rec.CitizenID = slab.StringOf(arena, tmp)
 			}

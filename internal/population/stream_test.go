@@ -72,8 +72,9 @@ func TestThresholdExact(t *testing.T) {
 // and leak fractions that disable, default or saturate the leak draw.
 // Enrollment must equal referenceEnrollment bit for bit (including
 // the unused high bits of the last word), Leaked/Class must equal the
-// reference leak draw, and the harvested leak records must equal the
-// eager builder's.
+// reference leak draw, the harvested leak records must equal the eager
+// builder's, and Dossier must name exactly the reference record's
+// non-empty fields.
 func TestEnrollmentMatchesReference(t *testing.T) {
 	seeds := []int64{0, -1, math.MinInt64, math.MaxInt64}
 	scales := []float64{1e-9, 1, 1e9}
@@ -117,8 +118,12 @@ func TestEnrollmentMatchesReference(t *testing.T) {
 							if sub.Class != c || sub.Leaked != (c != LeakNone) {
 								t.Fatalf("%s: sub %d Leaked=%v Class=%d, reference class %d", name, sub.Index, sub.Leaked, sub.Class, c)
 							}
-							if _, _, rec := p.reference(sub.Index); rec != nil {
+							_, _, rec := p.reference(sub.Index)
+							if rec != nil {
 								want = append(want, *rec)
+							}
+							if got, want := p.Dossier(sub).Fields(), recordFields(rec); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: sub %d dossier fields %v, reference record has %v", name, sub.Index, got, want)
 							}
 						}
 						var got []socialdb.Record
@@ -132,6 +137,29 @@ func TestEnrollmentMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordFields lists rec's non-empty persona fields in the order
+// Dossier.Fields uses (nil for a subscriber with no record).
+func recordFields(rec *socialdb.Record) []ecosys.InfoField {
+	if rec == nil {
+		return nil
+	}
+	var out []ecosys.InfoField
+	for _, f := range []struct {
+		v     string
+		field ecosys.InfoField
+	}{
+		{rec.Phone, ecosys.InfoCellphone},
+		{rec.RealName, ecosys.InfoRealName},
+		{rec.Address, ecosys.InfoAddress},
+		{rec.CitizenID, ecosys.InfoCitizenID},
+	} {
+		if f.v != "" {
+			out = append(out, f.field)
+		}
+	}
+	return out
 }
 
 // BenchmarkShardGenerate is the generation layer's row: it cycles

@@ -1,8 +1,8 @@
 // Package report renders the measurement results as the paper
 // presents them: ASCII tables (Table I), proportion charts (Fig 3),
 // dependency-layer summaries (§IV.B.1) and DOT graphs (Fig 4, Fig 11).
-// Binaries under cmd/ and EXPERIMENTS.md are generated through these
-// renderers so recorded outputs stay consistent.
+// Binaries under cmd/ render through these renderers so recorded
+// outputs stay consistent.
 package report
 
 import (

@@ -10,9 +10,9 @@ import (
 // ForwardClosureIndexed computes the same fixpoint as ForwardClosure
 // with a factor-indexed frontier: instead of rescanning every account
 // each round, it re-examines only accounts whose unmet factors just
-// became available. Results are identical (property-tested); DESIGN.md
-// §5 lists the pair as an ablation — BenchmarkClosureRescan vs
-// BenchmarkClosureIndexed compares them.
+// became available. Results are identical (property-tested); the pair
+// is an ablation — BenchmarkClosureRescan vs BenchmarkClosureIndexed
+// compares them.
 func ForwardClosureIndexed(g *tdg.Graph, initial []ecosys.AccountID) (*ForwardResult, error) {
 	res := &ForwardResult{
 		Compromised: make(map[ecosys.AccountID]Compromise),

@@ -9,9 +9,9 @@
 // anything transmitted on a channel is visible to every subscribed
 // receiver — exactly the property the passive sniffer exploits.
 //
-// Substitution note (see DESIGN.md): session keys are drawn from a
-// reduced a51.KeySpace so the sniffer's exhaustive search stands in
-// for the real rainbow-table crack; the GSM one-way authentication
+// Substitution note (see docs/ARCHITECTURE.md, "Substitutions"):
+// session keys are drawn from a reduced a51.KeySpace so the sniffer's
+// exhaustive search stands in for the real rainbow-table crack; the GSM one-way authentication
 // (no network authentication to the phone) is modeled faithfully
 // because it is the flaw the fake base station exploits.
 //

@@ -314,9 +314,10 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 }
 
 // RunScenario executes one scenario: attack every owned shard through
-// the worker pool, streaming partial summaries into one aggregate. The returned Summary is deterministic
-// for a fixed config apart from Duration/VictimsPerSec — including
-// across kill-and-resume boundaries when a Checkpoint is configured.
+// the worker pool, streaming partial summaries into one aggregate. The
+// returned Summary is deterministic for a fixed config apart from
+// Duration/VictimsPerSec — including across kill-and-resume boundaries
+// when a Checkpoint is configured.
 // RunScenario is safe to call concurrently: each call builds its own
 // run over the engine's shared core, and overlapping calls share the
 // Workers-bounded shard budget.

@@ -24,8 +24,9 @@ type attackPlan struct {
 	// svcIdx maps an account to its catalog service index (the same
 	// order population.ServiceSet uses).
 	svcIdx []int
-	// svcAccounts inverts svcIdx: per service, its account indices.
-	svcAccounts [][]int32
+	// words is the length of a victim's enrollment bitset: one word per
+	// 64 catalog services.
+	words int
 	// exposes is the per-account post-login information bitmask
 	// (1 << InfoField).
 	exposes []uint32
@@ -35,8 +36,9 @@ type attackPlan struct {
 	paths [][]pathReq
 	// The needs' supplier lists are interned into supplier sets: the
 	// needs of one factor mostly share their suppliers, so a closure
-	// layer folds each distinct set once. numSets counts the sets and
-	// inSets lists, per account, the sets it belongs to.
+	// layer updates each distinct set once per account that fell in it,
+	// not once per need. numSets counts the sets and inSets lists, per
+	// account, the sets it belongs to.
 	numSets int
 	inSets  [][]int32
 	// baseline is the attacker-profile factor bitmask (PN + SC).
@@ -87,13 +89,13 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 	}
 
 	p := &attackPlan{
-		accounts:    make([]ecosys.AccountID, 0, len(nodes)),
-		svcIdx:      make([]int, 0, len(nodes)),
-		svcAccounts: make([][]int32, cat.Len()),
-		exposes:     make([]uint32, 0, len(nodes)),
-		paths:       make([][]pathReq, len(nodes)),
-		inSets:      make([][]int32, len(nodes)),
-		baseline:    factorMaskOf(ecosys.BaselineAttacker().Factors()),
+		accounts: make([]ecosys.AccountID, 0, len(nodes)),
+		svcIdx:   make([]int, 0, len(nodes)),
+		words:    (cat.Len() + 63) / 64,
+		exposes:  make([]uint32, 0, len(nodes)),
+		paths:    make([][]pathReq, len(nodes)),
+		inSets:   make([][]int32, len(nodes)),
+		baseline: factorMaskOf(ecosys.BaselineAttacker().Factors()),
 	}
 	acctIndex := make(map[ecosys.AccountID]int32, len(nodes))
 	for i := range nodes {
@@ -105,7 +107,6 @@ func buildPlan(cat *ecosys.Catalog, platforms []ecosys.Platform) (*attackPlan, e
 		acctIndex[n.ID] = int32(i)
 		p.accounts = append(p.accounts, n.ID)
 		p.svcIdx = append(p.svcIdx, si)
-		p.svcAccounts[si] = append(p.svcAccounts[si], int32(i))
 		var mask uint32
 		for f := range n.Exposes {
 			if n.Exposes[f] {
@@ -245,7 +246,7 @@ type laneFall struct {
 
 func newLanes(p *attackPlan) lanes {
 	return lanes{
-		rows:     make([][64]uint64, (len(p.svcAccounts)+63)/64),
+		rows:     make([][64]uint64, p.words),
 		enrolled: make([]uint64, len(p.accounts)),
 		fell:     make([]uint64, len(p.accounts)),
 		supplied: make([]uint64, p.numSets),
